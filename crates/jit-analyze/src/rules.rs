@@ -60,12 +60,13 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 pub const SUPPRESSABLE: &[&str] =
     &[NO_PANIC_PATHS, NO_WALL_CLOCK, NO_LOSSY_FLOAT_FMT, LOCK_DISCIPLINE];
 
-/// Files under the typed-error-never-panic contract: the wire/codec/
-/// net/supervisor serve path of `jit-service`, plus `jit-db`'s binary
-/// codec and WAL recovery.
+/// Files under the typed-error-never-panic contract: the wire/net/
+/// supervisor serve path of `jit-service` and its snapshot store (which
+/// decodes bytes recovered from disk), plus `jit-db`'s binary codec and
+/// WAL recovery.
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/jit-service/src/wire.rs",
-    "crates/jit-service/src/codec.rs",
+    "crates/jit-service/src/db_store.rs",
     "crates/jit-service/src/net.rs",
     "crates/jit-service/src/supervisor.rs",
     "crates/jit-service/src/sharded.rs",
@@ -81,8 +82,8 @@ pub const PANIC_PATH_FILES: &[&str] = &[
 pub const DIGEST_SCOPE_FILES: &[&str] = &[
     "crates/jit-math/src/digest.rs",
     "crates/jit-db/src/codec.rs",
-    "crates/jit-service/src/codec.rs",
     "crates/jit-service/src/wire.rs",
+    "crates/jit-service/src/db_store.rs",
 ];
 
 /// Crate prefixes under the lock-discipline contract (the crates whose

@@ -1016,8 +1016,10 @@ pub enum TimePointServe {
 /// the point: store one when the user leaves, and when they return —
 /// after any number of retrains — hand it to
 /// [`JustInTime::reserve_batch`], which replays whatever drift left
-/// untouched. Snapshots are in-memory values scoped to one build of the
-/// search code; they are not a wire format.
+/// untouched. Their one serialized form is `jit-service`'s binary
+/// snapshot codec, shared by wire frames and persistent stores. Stored
+/// copies lead with a format-version byte and frames do not: stored
+/// bytes outlive the build that wrote them, frames never do.
 #[derive(Clone, Debug)]
 pub struct SessionSnapshot {
     /// The request the stored session answered.

@@ -5,10 +5,17 @@
 //! and it pays a full tokenizer/parser pass per row. This codec is the
 //! storage-grade alternative: floats travel as raw `f64::to_bits`
 //! (every NaN payload, `-0.0`, subnormals and infinities survive
-//! bit-for-bit), strings are length-prefixed UTF-8, and integers keep
-//! their 64-bit two's-complement form — the same discipline as
-//! `jit-service::wire`, but self-contained so jit-db stays dependency
-//! free.
+//! bit-for-bit), strings and blobs are length-prefixed bytes, and
+//! integers keep their little-endian two's-complement form.
+//!
+//! These are the workspace's only binary primitives. `jit-service`
+//! builds its wire frames and its stored snapshot blobs on the same
+//! encoder functions and [`Decoder`], so a frame, a WAL record and a
+//! stored snapshot all share one set of bounds checks. The encoding
+//! itself carries no version: what is stored says which build wrote it
+//! (the WAL's magic, a snapshot blob's leading version byte), because
+//! stored bytes outlive that build, while a frame is read by the build
+//! that wrote it.
 //!
 //! Decoding never panics: every failure is a typed
 //! [`DbError::Codec`] carrying the byte offset and what was expected
@@ -34,6 +41,8 @@ const TAG_FLOAT: u8 = 2;
 const TAG_TEXT: u8 = 3;
 /// Value tag: boolean.
 const TAG_BOOL: u8 = 4;
+/// Value tag: length-prefixed raw bytes.
+const TAG_BLOB: u8 = 5;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -49,7 +58,7 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Float(x) => {
             out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
+            encode_f64(out, *x);
         }
         Value::Text(s) => {
             out.push(TAG_TEXT);
@@ -58,6 +67,10 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
         Value::Bool(b) => {
             out.push(TAG_BOOL);
             out.push(u8::from(*b));
+        }
+        Value::Blob(bytes) => {
+            out.push(TAG_BLOB);
+            encode_bytes(out, bytes);
         }
     }
 }
@@ -69,6 +82,7 @@ pub fn encoded_len(v: &Value) -> u64 {
         Value::Null => 1,
         Value::Int(_) | Value::Float(_) => 9,
         Value::Text(s) => 5 + s.len() as u64,
+        Value::Blob(b) => 5 + b.len() as u64,
         Value::Bool(_) => 2,
     }
 }
@@ -91,8 +105,13 @@ pub fn encode_rows(out: &mut Vec<u8>, rows: &[Vec<Value>]) {
 
 /// Appends a length-prefixed UTF-8 string.
 pub fn encode_str(out: &mut Vec<u8>, s: &str) {
-    encode_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    encode_bytes(out, s.as_bytes());
+}
+
+/// Appends `u32`-length-prefixed raw bytes.
+pub fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    encode_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
 }
 
 /// Appends a little-endian `u32`.
@@ -105,6 +124,17 @@ pub fn encode_u64(out: &mut Vec<u8>, n: u64) {
     out.extend_from_slice(&n.to_le_bytes());
 }
 
+/// Appends a `usize` as a little-endian `u64`.
+pub fn encode_usize(out: &mut Vec<u8>, n: usize) {
+    encode_u64(out, n as u64);
+}
+
+/// Appends a float's raw IEEE-754 bits, little-endian: bit-exact for
+/// every payload.
+pub fn encode_f64(out: &mut Vec<u8>, x: f64) {
+    encode_u64(out, x.to_bits());
+}
+
 /// Appends a column-type tag byte.
 pub fn encode_column_type(out: &mut Vec<u8>, t: ColumnType) {
     out.push(match t {
@@ -112,6 +142,7 @@ pub fn encode_column_type(out: &mut Vec<u8>, t: ColumnType) {
         ColumnType::Real => 1,
         ColumnType::Text => 2,
         ColumnType::Boolean => 3,
+        ColumnType::Blob => 4,
     });
 }
 
@@ -184,16 +215,41 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    /// Decodes a length-prefixed UTF-8 string. The length is validated
-    /// against the remaining bytes before allocating.
-    pub fn str(&mut self, expected: &'static str) -> Result<String, DbError> {
-        let len = self.u32(expected)? as usize;
-        if len > self.remaining() {
-            return Err(self.err(expected));
+    /// Decodes a little-endian `u64` that must fit a `usize`.
+    pub fn usize(&mut self, expected: &'static str) -> Result<usize, DbError> {
+        let at = self.pos;
+        usize::try_from(self.u64(expected)?)
+            .map_err(|_| DbError::Codec { offset: at, expected })
+    }
+
+    /// Decodes a float from its raw little-endian bits.
+    pub fn f64(&mut self, expected: &'static str) -> Result<f64, DbError> {
+        Ok(f64::from_bits(self.u64(expected)?))
+    }
+
+    /// Decodes a one-byte tag that must be below `n`; an out-of-range
+    /// tag fails at its own offset.
+    pub fn tag(&mut self, n: u8, expected: &'static str) -> Result<u8, DbError> {
+        let at = self.pos;
+        match self.u8(expected)? {
+            t if t < n => Ok(t),
+            _ => Err(DbError::Codec { offset: at, expected }),
         }
-        let bytes = self.take(len, expected)?;
+    }
+
+    /// Decodes `u32`-length-prefixed raw bytes, borrowed from the
+    /// buffer. The length is checked against the remaining bytes, so a
+    /// lying prefix allocates nothing.
+    pub fn bytes(&mut self, expected: &'static str) -> Result<&'a [u8], DbError> {
+        let len = self.u32(expected)? as usize;
+        self.take(len, expected)
+    }
+
+    /// Decodes a length-prefixed UTF-8 string.
+    pub fn str(&mut self, expected: &'static str) -> Result<String, DbError> {
+        let bytes = self.bytes(expected)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DbError::Codec {
-            offset: self.pos - len,
+            offset: self.pos - bytes.len(),
             expected: "valid UTF-8",
         })
     }
@@ -208,22 +264,13 @@ impl<'a> Decoder<'a> {
                 let a: [u8; 8] = b.try_into().map_err(|_| self.err("int payload"))?;
                 Ok(Value::Int(i64::from_le_bytes(a)))
             }
-            TAG_FLOAT => {
-                let bits = self.u64("float payload")?;
-                Ok(Value::Float(f64::from_bits(bits)))
-            }
+            TAG_FLOAT => Ok(Value::Float(self.f64("float payload")?)),
             TAG_TEXT => Ok(Value::Text(self.str("text payload")?)),
-            TAG_BOOL => match self.u8("bool payload")? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                _ => Err(DbError::Codec {
-                    offset: self.pos - 1,
-                    expected: "bool 0 or 1",
-                }),
-            },
+            TAG_BLOB => Ok(Value::Blob(self.bytes("blob payload")?.to_vec())),
+            TAG_BOOL => Ok(Value::Bool(self.tag(2, "bool 0 or 1")? == 1)),
             _ => Err(DbError::Codec {
                 offset: self.pos - 1,
-                expected: "value tag 0..=4",
+                expected: "value tag 0..=5",
             }),
         }
     }
@@ -257,16 +304,13 @@ impl<'a> Decoder<'a> {
 
     /// Decodes a column-type tag byte.
     pub fn column_type(&mut self) -> Result<ColumnType, DbError> {
-        match self.u8("column type tag")? {
-            0 => Ok(ColumnType::Integer),
-            1 => Ok(ColumnType::Real),
-            2 => Ok(ColumnType::Text),
-            3 => Ok(ColumnType::Boolean),
-            _ => Err(DbError::Codec {
-                offset: self.pos - 1,
-                expected: "column type tag 0..=3",
-            }),
-        }
+        Ok(match self.tag(5, "column type tag 0..=4")? {
+            0 => ColumnType::Integer,
+            1 => ColumnType::Real,
+            2 => ColumnType::Text,
+            3 => ColumnType::Boolean,
+            _ => ColumnType::Blob,
+        })
     }
 }
 
@@ -323,27 +367,60 @@ mod tests {
             Value::Float(x) => assert_eq!(x.to_bits(), (-0.0f64).to_bits()),
             other => panic!("expected float, got {other:?}"),
         }
+        // Blobs keep every byte, including NUL and invalid UTF-8.
+        assert_eq!(roundtrip(Value::Blob(Vec::new())), Value::Blob(Vec::new()));
+        let raw = vec![0x00, 0xff, 0xfe, b'x', 0x80];
+        assert_eq!(roundtrip(Value::Blob(raw.clone())), Value::Blob(raw));
     }
 
     #[test]
     fn truncation_yields_typed_error() {
-        let mut buf = Vec::new();
-        encode_value(&mut buf, &Value::Text("abcdef".into()));
-        for cut in 0..buf.len() {
-            let mut d = Decoder::new(&buf[..cut]);
-            assert!(d.value().is_err(), "cut at {cut} must fail typed");
+        for v in [Value::Text("abcdef".into()), Value::Blob(vec![1, 2, 3, 0xff])] {
+            let mut buf = Vec::new();
+            encode_value(&mut buf, &v);
+            for cut in 0..buf.len() {
+                let mut d = Decoder::new(&buf[..cut]);
+                assert!(d.value().is_err(), "{v:?} cut at {cut} must fail typed");
+            }
         }
     }
 
     #[test]
     fn hostile_length_prefix_does_not_allocate() {
-        // Claims a 4 GiB string with 2 bytes of payload.
-        let buf = [TAG_TEXT, 0xff, 0xff, 0xff, 0xff, b'x', b'y'];
-        let mut d = Decoder::new(&buf);
-        match d.value() {
-            Err(DbError::Codec { .. }) => {}
-            other => panic!("expected codec error, got {other:?}"),
+        // Claims a 4 GiB string (then blob) with 2 bytes of payload.
+        for tag in [TAG_TEXT, TAG_BLOB] {
+            let buf = [tag, 0xff, 0xff, 0xff, 0xff, b'x', b'y'];
+            let mut d = Decoder::new(&buf);
+            match d.value() {
+                Err(DbError::Codec { .. }) => {}
+                other => panic!("expected codec error, got {other:?}"),
+            }
         }
+    }
+
+    #[test]
+    fn encoded_len_counts_blob_payloads() {
+        for v in [Value::Blob(Vec::new()), Value::Blob(vec![7; 300])] {
+            let mut buf = Vec::new();
+            encode_value(&mut buf, &v);
+            assert_eq!(buf.len() as u64, encoded_len(&v), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn column_types_round_trip_and_bad_tags_fail_at_their_offset() {
+        use ColumnType::*;
+        for t in [Integer, Real, Text, Boolean, Blob] {
+            let mut buf = Vec::new();
+            encode_column_type(&mut buf, t);
+            assert_eq!(Decoder::new(&buf).column_type(), Ok(t));
+        }
+        let mut d = Decoder::new(&[9, 5]);
+        assert_eq!(
+            d.tag(9, "small tag"),
+            Err(DbError::Codec { offset: 0, expected: "small tag" })
+        );
+        assert_eq!(d.tag(9, "small tag"), Ok(5));
     }
 
     #[test]

@@ -14,6 +14,9 @@ pub enum ColumnType {
     Text,
     /// Boolean.
     Boolean,
+    /// Raw bytes. Reachable through the programmatic row API only: the
+    /// SQL dialect has no `BLOB` type name and no blob literal.
+    Blob,
 }
 
 impl fmt::Display for ColumnType {
@@ -23,6 +26,7 @@ impl fmt::Display for ColumnType {
             ColumnType::Real => write!(f, "REAL"),
             ColumnType::Text => write!(f, "TEXT"),
             ColumnType::Boolean => write!(f, "BOOLEAN"),
+            ColumnType::Blob => write!(f, "BLOB"),
         }
     }
 }
@@ -44,6 +48,8 @@ pub enum Value {
     Text(String),
     /// Boolean.
     Bool(bool),
+    /// Raw bytes (see [`ColumnType::Blob`]).
+    Blob(Vec<u8>),
 }
 
 impl Value {
@@ -76,8 +82,7 @@ impl Value {
             Value::Bool(b) => *b,
             Value::Int(i) => *i != 0,
             Value::Float(f) => *f != 0.0,
-            Value::Null => false,
-            Value::Text(_) => false,
+            Value::Null | Value::Text(_) | Value::Blob(_) => false,
         }
     }
 
@@ -92,17 +97,19 @@ impl Value {
                 | (Value::Float(_), ColumnType::Real)
                 | (Value::Text(_), ColumnType::Text)
                 | (Value::Bool(_), ColumnType::Boolean)
+                | (Value::Blob(_), ColumnType::Blob)
         )
     }
 
     /// SQL comparison; `None` when either side is NULL or types are
     /// incomparable. Int and Float compare numerically; Bool compares as
-    /// false < true.
+    /// false < true; Blobs compare bytewise.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+            (Value::Blob(a), Value::Blob(b)) => Some(a.cmp(b)),
             (a, b) => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
                 x.partial_cmp(&y)
@@ -124,6 +131,7 @@ impl Value {
                 Value::Int(_) | Value::Float(_) => 0,
                 Value::Text(_) => 1,
                 Value::Bool(_) => 2,
+                Value::Blob(_) => 3,
             }
         }
         match self.compare(other) {
@@ -149,7 +157,8 @@ impl Value {
     /// `2.0`), and non-finite floats render as the `NAN` / `INF` /
     /// `-INF` literals the parser accepts. The one caveat: NaN *payloads*
     /// collapse to the canonical quiet NaN (there is only one NaN
-    /// literal).
+    /// literal). Blobs render as `X'…'` hex for display only: the
+    /// dialect has no blob literal, so they do not parse back.
     pub fn sql_literal(&self) -> String {
         match self {
             Value::Null => "NULL".to_string(),
@@ -169,6 +178,7 @@ impl Value {
             }
             Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
             Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+            Value::Blob(_) => self.to_string(),
         }
     }
 
@@ -180,6 +190,7 @@ impl Value {
             Value::Float(f) => format!("n{f}"),
             Value::Text(s) => format!("t{s}"),
             Value::Bool(b) => format!("b{b}"),
+            Value::Blob(_) => format!("x{self}"),
         }
     }
 }
@@ -198,6 +209,13 @@ impl fmt::Display for Value {
             }
             Value::Text(s) => write!(f, "{s}"),
             Value::Bool(b) => write!(f, "{b}"),
+            Value::Blob(bytes) => {
+                write!(f, "X'")?;
+                for b in bytes {
+                    write!(f, "{b:02x}")?;
+                }
+                write!(f, "'")
+            }
         }
     }
 }
@@ -277,6 +295,9 @@ mod tests {
         assert!(!Value::Float(1.0).conforms_to(ColumnType::Integer));
         assert!(Value::Null.conforms_to(ColumnType::Text));
         assert!(!Value::Text("x".into()).conforms_to(ColumnType::Boolean));
+        assert!(Value::Blob(vec![1]).conforms_to(ColumnType::Blob));
+        assert!(!Value::Text("x".into()).conforms_to(ColumnType::Blob));
+        assert!(!Value::Blob(vec![1]).conforms_to(ColumnType::Text));
     }
 
     #[test]
@@ -301,6 +322,7 @@ mod tests {
         assert_eq!(Value::Float(3.25).to_string(), "3.25");
         assert_eq!(Value::Int(7).to_string(), "7");
         assert_eq!(Value::Null.to_string(), "NULL");
+        assert_eq!(Value::Blob(vec![0x0a, 0xff]).to_string(), "X'0aff'");
     }
 
     #[test]

@@ -33,18 +33,19 @@ fn adversarial_string(rng: &mut TestRng) -> String {
     const PALETTE: &[char] =
         &['a', 'Z', '0', '"', '\'', '\\', '\n', '\t', '\0', ' ', 'é', '漢', '🦀'];
     let n = rng.i128_in(0, 24) as usize;
-    (0..n)
-        .map(|_| PALETTE[rng.i128_in(0, PALETTE.len() as i128 - 1) as usize])
-        .collect()
+    (0..n).map(|_| PALETTE[rng.i128_in(0, PALETTE.len() as i128) as usize]).collect()
 }
 
 fn adversarial_value(rng: &mut TestRng) -> Value {
-    match rng.i128_in(0, 4) {
+    match rng.i128_in(0, 6) {
         0 => Value::Null,
         1 => Value::Int(rng.next_u64() as i64),
         2 => Value::Float(adversarial_f64(rng)),
         3 => Value::Text(adversarial_string(rng)),
-        _ => Value::Bool(rng.next_u64().is_multiple_of(2)),
+        4 => Value::Bool(rng.next_u64().is_multiple_of(2)),
+        _ => Value::Blob(
+            rng.next_u64().to_le_bytes()[..rng.i128_in(0, 9) as usize].to_vec(),
+        ),
     }
 }
 
@@ -145,6 +146,8 @@ fn encoded_len_matches_encoding_for_known_extremes() {
         Value::Text(String::new()),
         Value::Text("héllo\0🦀".to_string()),
         Value::Bool(false),
+        Value::Blob(Vec::new()),
+        Value::Blob(vec![0, 0xff, 0xfe]),
     ] {
         let mut buf = Vec::new();
         codec::encode_value(&mut buf, &v);

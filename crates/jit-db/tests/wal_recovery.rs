@@ -51,20 +51,53 @@ fn rows_of(db: &jit_db::Database) -> Vec<(i64, u64, String)> {
         .collect()
 }
 
+/// Blobs of the `blobs` table (a BLOB column beside `t`), by key.
+fn blobs_of(db: &jit_db::Database) -> Vec<Vec<u8>> {
+    if !db.has_table("blobs") {
+        return Vec::new();
+    }
+    let rs = db.execute("SELECT b FROM blobs ORDER BY k").unwrap();
+    rs.rows
+        .iter()
+        .map(|r| {
+            let Value::Blob(b) = &r[0] else { panic!() };
+            b.clone()
+        })
+        .collect()
+}
+
 #[test]
 fn torn_tail_at_every_byte_recovers_the_committed_prefix() {
-    // Build a log with 3 commits, remembering the state after each.
+    // Build a log of commits, remembering the state after each.
     let file = Arc::new(MemFile::new());
     let (wal, _) = DurableDatabase::open(file.clone(), WalConfig::default()).unwrap();
+    let state = |db: &jit_db::Database| (rows_of(db), blobs_of(db));
     let mut commit_ends = vec![wal.wal_len()];
-    let mut states = vec![Vec::new()];
+    let mut states = vec![(Vec::new(), Vec::new())];
     wal.commit(&[create_t()]).unwrap();
     commit_ends.push(wal.wal_len());
-    states.push(rows_of(wal.database()));
+    states.push(state(wal.database()));
     for (k, v) in [(1, f64::NAN), (2, -0.0), (3, 1.5e-310)] {
         wal.commit(&[insert(k, v, "x")]).unwrap();
         commit_ends.push(wal.wal_len());
-        states.push(rows_of(wal.database()));
+        states.push(state(wal.database()));
+    }
+    // A BLOB column, with NUL and invalid UTF-8 bytes, in the last commit.
+    let create_blobs = WalOp::CreateTable {
+        name: "blobs".to_string(),
+        columns: vec![
+            ("k".to_string(), jit_db::ColumnType::Integer),
+            ("b".to_string(), jit_db::ColumnType::Blob),
+        ],
+    };
+    let insert_blob = WalOp::InsertRows {
+        table: "blobs".to_string(),
+        rows: vec![vec![Value::Int(1), Value::Blob(vec![0, 0xff, 0xfe, b'x'])]],
+    };
+    for op in [create_blobs, insert_blob] {
+        wal.commit(&[op]).unwrap();
+        commit_ends.push(wal.wal_len());
+        states.push(state(wal.database()));
     }
     drop(wal);
     let clean = file.snapshot();
@@ -78,7 +111,7 @@ fn torn_tail_at_every_byte_recovers_the_committed_prefix() {
             DurableDatabase::open(torn.clone(), WalConfig::default()).unwrap();
         let prefix = commit_ends.iter().filter(|&&e| e <= cut as u64).count() - 1;
         assert_eq!(
-            rows_of(wal.database()),
+            state(wal.database()),
             states[prefix],
             "cut at {cut} must recover the {prefix}-commit prefix"
         );
@@ -147,7 +180,7 @@ fn commits_after_checkpoint_replay_on_top_of_the_image() {
 
 /// A deterministic mixed batch for the property test.
 fn arbitrary_ops(rng: &mut TestRng, round: i64) -> Vec<WalOp> {
-    match rng.i128_in(0, 3) {
+    match rng.i128_in(0, 4) {
         0 => vec![insert(round, f64::from_bits(rng.next_u64()), "p")],
         1 => vec![insert(round, round as f64, "a"), insert(round + 1000, -0.0, "b")],
         2 => vec![WalOp::DeleteEq {

@@ -360,8 +360,6 @@ impl Dataset {
 /// prefix-sum table and binary search (`O(n log n)` total instead of a
 /// linear scan per draw). One uniform variate is consumed per draw.
 ///
-/// Shared by [`Dataset::bootstrap`] and the boosting resampler.
-///
 /// # Panics
 /// Panics when the total positive weight is zero.
 pub(crate) fn weighted_draw_indices(

@@ -16,8 +16,6 @@
 //! * [`forest::RandomForest`] — bagged trees, the paper's model family.
 //! * [`logistic::LogisticRegression`] — a linear baseline whose gradient
 //!   feeds the gradient-guided move proposer.
-//! * [`boosting::GradientBoosting`] — an extension model family
-//!   (future-work surface; exercised by the ablation benches).
 //! * [`metrics`] — accuracy, AUC, F1, log-loss, confusion counts.
 //! * [`threshold`] — calibration of the per-model decision threshold `δ_t`.
 //! * [`model::Model`] — the trait tying it together, including
@@ -29,7 +27,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
-pub mod boosting;
 pub mod dataset;
 pub mod forest;
 pub mod logistic;

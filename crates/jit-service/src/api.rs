@@ -247,6 +247,9 @@ pub enum ServeError {
     /// The transport layer failed: connection I/O errors, malformed,
     /// truncated or oversized frames. Protocol failures are typed, never
     /// panics — a desynchronized connection is closed after reporting.
+    /// Every tier also refuses, with this variant, a request whose
+    /// constraints nest past [`crate::wire::MAX_CONSTRAINT_DEPTH`]: no
+    /// frame or stored snapshot could carry it.
     Transport(String),
 }
 

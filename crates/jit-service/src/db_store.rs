@@ -1,13 +1,21 @@
 //! The `jit-db`-backed snapshot store: re-serves survive restarts.
 //!
-//! Every [`SessionSnapshot`] is serialized **through the SQL engine's
-//! programmatic row API** — typed [`Value`] rows on the write path (one
-//! atomic delete+insert batch per save) and prepared `SELECT … WHERE
-//! user_id = ?` statements on the read path, compiled once at open.
-//! Floats travel as raw bits end to end (no SQL-literal rendering, no
-//! tokenizer on the hot path), so NaN payloads and `-0.0` survive, and
-//! a per-user load costs a handful of direct scans instead of seven
-//! parse+plan passes.
+//! One table, one row per user:
+//!
+//! | table | columns |
+//! |---|---|
+//! | `jit_snapshots` | `user_id TEXT` (hash-indexed), `snapshot BLOB` |
+//!
+//! The blob is `[format version u8][schema digest][snapshot bytes]`,
+//! and the snapshot bytes are the one serialized form of a
+//! [`SessionSnapshot`] that [`crate::wire`] also puts in frames: floats
+//! as raw bits, so NaN payloads and `-0.0` survive and a loaded snapshot
+//! replays exactly like the in-memory one. Frames carry no version
+//! byte, but stored bytes outlive the build that wrote them, so a blob
+//! whose version this build does not read is [`StoreError::Corrupt`]
+//! rather than a wrong decode. A blob recorded under a different feature
+//! schema is [`StoreError::SchemaMismatch`]. A save is one row replace;
+//! a load is one prepared `SELECT … WHERE user_id = ?` and one decode.
 //!
 //! Two durability tiers share the code path:
 //!
@@ -19,86 +27,30 @@
 //!   process **kill**, not just a drop. A save is crash-atomic: after
 //!   recovery the store holds either the old snapshot or the new one,
 //!   never a torn mix.
-//!
-//! Layout (narrow tables, schema-independent):
-//!
-//! | table | row per | columns |
-//! |---|---|---|
-//! | `jit_snapshots` | snapshot | `user_id, schema_digest, horizon, update_fn` |
-//! | `jit_snapshot_profile` | profile coordinate | `user_id, idx, v` |
-//! | `jit_snapshot_inputs` | temporal-input coordinate | `user_id, t, idx, v` |
-//! | `jit_snapshot_fingerprints` | time point | `user_id, t, hex` (NULL = unfingerprintable) |
-//! | `jit_snapshot_constraints` | scoped constraint | `user_id, ord, kind, lo, hi, body` |
-//! | `jit_snapshot_candidates` | candidate | `user_id, ord, t, gap, diff, p` |
-//! | `jit_snapshot_candidate_profiles` | candidate coordinate | `user_id, ord, idx, v` |
-//!
-//! Fingerprints round-trip via [`Digest`] hex; constraint bodies and
-//! update functions via the exact [`crate::codec`]. Each snapshot
-//! records the feature schema's content digest, and loads under a
-//! different schema fail with [`StoreError::SchemaMismatch`] rather than
-//! risk a wrong replay.
 
-use crate::codec;
+// Decode path: these blobs come back from disk, so panics are denied
+// outright here (tests excepted) — damaged bytes must surface as typed
+// errors.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::store::{SnapshotStore, StoreError};
-use jit_core::{Candidate, SessionSnapshot, UserRequest};
+use crate::wire::{self, WireError};
+use jit_core::SessionSnapshot;
 use jit_data::FeatureSchema;
+use jit_db::codec::Decoder;
 use jit_db::{ColumnType, Database, DurableDatabase, Prepared, Value, WalOp};
 use jit_math::digest::Digest;
 use std::fmt;
 use std::sync::Arc;
 
-/// The read-path statements, compiled once at open. All are
-/// single-table `WHERE user_id = ?` selects in the shape the engine's
-/// direct-scan plan covers, so executing them never touches the SQL
-/// front end.
-struct Stmts {
-    header: Prepared,
-    profile: Prepared,
-    inputs: Prepared,
-    fingerprints: Prepared,
-    constraints: Prepared,
-    candidates: Prepared,
-    candidate_profiles: Prepared,
-    exists: Prepared,
-    user_ids: Prepared,
-}
+const TABLE: &str = "jit_snapshots";
 
-impl Stmts {
-    fn compile(db: &Database) -> Result<Stmts, StoreError> {
-        Ok(Stmts {
-            header: db.prepare(
-                "SELECT schema_digest, horizon, update_fn FROM jit_snapshots \
-                 WHERE user_id = ?",
-            )?,
-            profile: db.prepare(
-                "SELECT v FROM jit_snapshot_profile WHERE user_id = ? ORDER BY idx",
-            )?,
-            inputs: db.prepare(
-                "SELECT t, v FROM jit_snapshot_inputs WHERE user_id = ? \
-                 ORDER BY t, idx",
-            )?,
-            fingerprints: db.prepare(
-                "SELECT t, hex FROM jit_snapshot_fingerprints WHERE user_id = ? \
-                 ORDER BY t",
-            )?,
-            constraints: db.prepare(
-                "SELECT kind, lo, hi, body FROM jit_snapshot_constraints \
-                 WHERE user_id = ? ORDER BY ord",
-            )?,
-            candidates: db.prepare(
-                "SELECT t, gap, diff, p FROM jit_snapshot_candidates \
-                 WHERE user_id = ? ORDER BY ord",
-            )?,
-            candidate_profiles: db.prepare(
-                "SELECT ord, v FROM jit_snapshot_candidate_profiles \
-                 WHERE user_id = ? ORDER BY ord, idx",
-            )?,
-            exists: db
-                .prepare("SELECT user_id FROM jit_snapshots WHERE user_id = ?")?,
-            user_ids: db
-                .prepare("SELECT user_id FROM jit_snapshots ORDER BY user_id")?,
-        })
-    }
+/// Version of the stored blob layout. Bump it whenever the blob's bytes
+/// change, including [`wire`]'s snapshot encoding.
+const FORMAT_VERSION: u8 = 1;
+
+fn columns() -> Vec<(String, ColumnType)> {
+    vec![("user_id".into(), ColumnType::Text), ("snapshot".into(), ColumnType::Blob)]
 }
 
 /// The SQL-engine-backed [`SnapshotStore`].
@@ -109,103 +61,29 @@ pub struct DbSnapshotStore {
     wal: Option<Arc<DurableDatabase>>,
     schema: FeatureSchema,
     schema_digest: Digest,
-    stmts: Stmts,
-    /// Serializes the multi-statement save/load/remove sequences: the
-    /// database locks per statement, but one snapshot spans seven
-    /// tables, so without this a concurrent `load` could observe a
-    /// half-written ("torn") snapshot between a `save`'s DELETEs and
-    /// its last INSERT. Per-store, so the sharded dispatcher's
-    /// one-store-per-shard layout keeps cross-shard parallelism.
+    /// `SELECT snapshot … WHERE user_id = ?`, compiled once at open.
+    load: Prepared,
+    /// `SELECT user_id … ORDER BY user_id`, compiled once at open.
+    user_ids: Prepared,
+    /// A save deletes the old row, then inserts the new one, each under
+    /// its own table lock; holding this across both keeps a concurrent
+    /// read from finding the user absent in between.
     op_lock: parking_lot::Mutex<()>,
 }
 
-const TABLES: [(&str, &[(&str, ColumnType)]); 7] = [
-    (
-        "jit_snapshots",
-        &[
-            ("user_id", ColumnType::Text),
-            ("schema_digest", ColumnType::Text),
-            ("horizon", ColumnType::Integer),
-            ("update_fn", ColumnType::Text),
-        ],
-    ),
-    (
-        "jit_snapshot_profile",
-        &[
-            ("user_id", ColumnType::Text),
-            ("idx", ColumnType::Integer),
-            ("v", ColumnType::Real),
-        ],
-    ),
-    (
-        "jit_snapshot_inputs",
-        &[
-            ("user_id", ColumnType::Text),
-            ("t", ColumnType::Integer),
-            ("idx", ColumnType::Integer),
-            ("v", ColumnType::Real),
-        ],
-    ),
-    (
-        "jit_snapshot_fingerprints",
-        &[
-            ("user_id", ColumnType::Text),
-            ("t", ColumnType::Integer),
-            ("hex", ColumnType::Text),
-        ],
-    ),
-    (
-        "jit_snapshot_constraints",
-        &[
-            ("user_id", ColumnType::Text),
-            ("ord", ColumnType::Integer),
-            ("kind", ColumnType::Text),
-            ("lo", ColumnType::Integer),
-            ("hi", ColumnType::Integer),
-            ("body", ColumnType::Text),
-        ],
-    ),
-    (
-        "jit_snapshot_candidates",
-        &[
-            ("user_id", ColumnType::Text),
-            ("ord", ColumnType::Integer),
-            ("t", ColumnType::Integer),
-            ("gap", ColumnType::Integer),
-            ("diff", ColumnType::Real),
-            ("p", ColumnType::Real),
-        ],
-    ),
-    (
-        "jit_snapshot_candidate_profiles",
-        &[
-            ("user_id", ColumnType::Text),
-            ("ord", ColumnType::Integer),
-            ("idx", ColumnType::Integer),
-            ("v", ColumnType::Real),
-        ],
-    ),
-];
-
 impl DbSnapshotStore {
-    /// Opens a store over `db`, creating the snapshot tables when absent
+    /// Opens a store over `db`, creating the snapshot table when absent
     /// (re-opening an already-populated database is the restart path).
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] (with an empty user id) when
+    /// `jit_snapshots` exists in another layout, such as an older
+    /// build's; engine errors as [`StoreError::Db`].
     pub fn open(db: Arc<Database>, schema: &FeatureSchema) -> Result<Self, StoreError> {
-        for (name, columns) in TABLES {
-            if !db.has_table(name) {
-                db.create_table(name, owned_columns(columns))?;
-            }
+        if !db.has_table(TABLE) {
+            db.create_table(TABLE, columns())?;
         }
-        declare_indexes(&db)?;
-        let stmts = Stmts::compile(&db)?;
-        Ok(DbSnapshotStore {
-            db,
-            wal: None,
-            schema: schema.clone(),
-            schema_digest: schema.content_digest(),
-            stmts,
-            op_lock: parking_lot::Mutex::new(()),
-        })
+        Self::over(db, None, schema)
     }
 
     /// A store over a fresh private database.
@@ -216,31 +94,46 @@ impl DbSnapshotStore {
     /// Opens a store whose writes commit through `wal`'s write-ahead
     /// log: each save/remove is one crash-atomic logged batch, and a
     /// store reopened over the recovered log re-serves bit-identically.
-    /// Missing snapshot tables are created (and logged) on open.
+    /// A missing snapshot table is created (and logged) on open.
+    ///
+    /// # Errors
+    /// As for [`DbSnapshotStore::open`].
     pub fn open_durable(
         wal: Arc<DurableDatabase>,
         schema: &FeatureSchema,
     ) -> Result<Self, StoreError> {
         let db = Arc::clone(wal.database());
-        let ddl: Vec<WalOp> = TABLES
-            .iter()
-            .filter(|(name, _)| !db.has_table(name))
-            .map(|(name, columns)| WalOp::CreateTable {
-                name: name.to_string(),
-                columns: owned_columns(columns),
-            })
-            .collect();
-        if !ddl.is_empty() {
-            wal.commit(&ddl)?;
+        if !db.has_table(TABLE) {
+            wal.commit(&[WalOp::CreateTable {
+                name: TABLE.into(),
+                columns: columns(),
+            }])?;
         }
-        declare_indexes(&db)?;
-        let stmts = Stmts::compile(&db)?;
+        Self::over(db, Some(wal), schema)
+    }
+
+    fn over(
+        db: Arc<Database>,
+        wal: Option<Arc<DurableDatabase>>,
+        schema: &FeatureSchema,
+    ) -> Result<Self, StoreError> {
+        if db.table_schema(TABLE).map(|t| t.columns) != Some(columns()) {
+            return Err(StoreError::Corrupt {
+                user_id: String::new(),
+                detail: "jit_snapshots is not (user_id TEXT, snapshot BLOB)".into(),
+            });
+        }
+        // The index is in-memory acceleration, not logged state: it is
+        // declared on every open, including reopens over recovered WALs.
+        db.create_index(TABLE, "user_id")?;
         Ok(DbSnapshotStore {
+            load: db.prepare("SELECT snapshot FROM jit_snapshots WHERE user_id = ?")?,
+            user_ids: db
+                .prepare("SELECT user_id FROM jit_snapshots ORDER BY user_id")?,
             db,
-            wal: Some(wal),
+            wal,
             schema: schema.clone(),
             schema_digest: schema.content_digest(),
-            stmts,
             op_lock: parking_lot::Mutex::new(()),
         })
     }
@@ -256,75 +149,77 @@ impl DbSnapshotStore {
         self.wal.as_ref()
     }
 
-    fn corrupt(user_id: &str, detail: impl Into<String>) -> StoreError {
-        StoreError::Corrupt { user_id: user_id.to_string(), detail: detail.into() }
+    /// The stored row for `user_id`, if any.
+    fn row(&self, user_id: &str) -> Result<Option<Vec<Value>>, StoreError> {
+        let rs = self.db.execute_prepared(&self.load, &[Value::from(user_id)])?;
+        Ok(rs.rows.into_iter().next())
     }
 
-    /// Runs a prepared read with the user id bound.
-    fn query(
+    /// Replaces `user_id`'s row with `row` (`None` deletes it): one
+    /// crash-atomic WAL commit when durable, two direct mutations
+    /// otherwise. The ops are typed, so a failed apply leaves no
+    /// half-written row behind.
+    fn replace(
         &self,
-        stmt: &Prepared,
         user_id: &str,
-    ) -> Result<jit_db::ResultSet, StoreError> {
-        Ok(self.db.execute_prepared(stmt, &[Value::from(user_id)])?)
-    }
-
-    /// Applies one save/remove batch: through the WAL as a single
-    /// crash-atomic commit when durable, directly otherwise. The ops are
-    /// typed (validated before any byte is logged), so a failed apply
-    /// cannot leave a half-written snapshot behind.
-    fn apply_batch(&self, ops: &[WalOp]) -> Result<(), StoreError> {
+        row: Option<Vec<Value>>,
+    ) -> Result<(), StoreError> {
+        let id = Value::from(user_id);
         match &self.wal {
             Some(wal) => {
-                wal.commit(ops)?;
+                let mut ops = vec![WalOp::DeleteEq {
+                    table: TABLE.into(),
+                    column: "user_id".into(),
+                    value: id,
+                }];
+                ops.extend(row.map(|row| WalOp::InsertRows {
+                    table: TABLE.into(),
+                    rows: vec![row],
+                }));
+                wal.commit(&ops)?;
             }
             None => {
-                for op in ops {
-                    match op {
-                        WalOp::DeleteEq { table, column, value } => {
-                            self.db.delete_eq(table, column, value)?;
-                        }
-                        WalOp::InsertRows { table, rows } => {
-                            self.db.insert_rows(table, rows.clone())?;
-                        }
-                        other => {
-                            return Err(StoreError::Unavailable(format!(
-                                "unsupported direct-apply op {other:?}"
-                            )))
-                        }
-                    }
+                self.db.delete_eq(TABLE, "user_id", &id)?;
+                if let Some(row) = row {
+                    self.db.insert_row(TABLE, row)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// The delete half of replace semantics for one user.
-    fn delete_ops(id: &Value) -> Vec<WalOp> {
-        TABLES
-            .iter()
-            .map(|(name, _)| WalOp::DeleteEq {
-                table: name.to_string(),
-                column: "user_id".to_string(),
-                value: id.clone(),
-            })
-            .collect()
+    /// Decodes a stored blob: version byte, schema digest, snapshot.
+    fn decode(
+        &self,
+        user_id: &str,
+        blob: &[u8],
+    ) -> Result<SessionSnapshot, StoreError> {
+        let corrupt =
+            |detail: String| StoreError::Corrupt { user_id: user_id.into(), detail };
+        // jit-analyze: allow(no-lossy-float-fmt) — error text for humans; no float payload crosses here
+        let malformed = |e: WireError| corrupt(e.to_string());
+        let mut d = Decoder::new(blob);
+        let version = d.u8("format version").map_err(|e| malformed(e.into()))?;
+        if version != FORMAT_VERSION {
+            // jit-analyze: allow(no-lossy-float-fmt) — integer versions in error text; no float payload crosses here
+            return Err(corrupt(format!(
+                "format version {version}, not {FORMAT_VERSION}"
+            )));
+        }
+        let found = wire::decode_digest(&mut d, "schema digest").map_err(malformed)?;
+        if found != self.schema_digest {
+            return Err(StoreError::SchemaMismatch {
+                expected: self.schema_digest,
+                found,
+            });
+        }
+        let snapshot =
+            wire::decode_snapshot(&mut d, &self.schema).map_err(malformed)?;
+        if d.remaining() > 0 {
+            return Err(corrupt("trailing bytes after the snapshot".into()));
+        }
+        Ok(snapshot)
     }
-}
-
-fn owned_columns(columns: &[(&str, ColumnType)]) -> Vec<(String, ColumnType)> {
-    columns.iter().map(|(c, ty)| (c.to_string(), *ty)).collect()
-}
-
-/// Every store read and the replace-on-save delete filter on `user_id`,
-/// so each snapshot table gets a hash index on it. Indexes are in-memory
-/// acceleration, not logged state: they are (re)declared on every open —
-/// including reopens over recovered WALs — and never change results.
-fn declare_indexes(db: &Database) -> Result<(), StoreError> {
-    for (name, _) in TABLES {
-        db.create_index(name, "user_id")?;
-    }
-    Ok(())
 }
 
 impl fmt::Debug for DbSnapshotStore {
@@ -335,318 +230,122 @@ impl fmt::Debug for DbSnapshotStore {
     }
 }
 
-/// A typed insert op, or `None` for zero rows (nothing to insert).
-fn insert_op(table: &str, rows: Vec<Vec<Value>>) -> Option<WalOp> {
-    if rows.is_empty() {
-        return None;
-    }
-    Some(WalOp::InsertRows { table: table.to_string(), rows })
-}
-
 impl SnapshotStore for DbSnapshotStore {
     fn save(
         &self,
         user_id: &str,
         snapshot: &SessionSnapshot,
     ) -> Result<(), StoreError> {
-        let _guard = self.op_lock.lock();
-        let id = Value::from(user_id);
-
-        let header = vec![vec![
-            id.clone(),
-            Value::from(self.schema_digest.to_hex()),
-            Value::Int(snapshot.horizon() as i64),
-            Value::from(codec::encode_update_fn(snapshot.request.update_fn.as_ref())),
-        ]];
-        let profile: Vec<Vec<Value>> = snapshot
-            .request
-            .profile
-            .iter()
-            .enumerate()
-            .map(|(i, v)| vec![id.clone(), Value::Int(i as i64), Value::Float(*v)])
-            .collect();
-        let inputs: Vec<Vec<Value>> = snapshot
-            .temporal_inputs()
-            .iter()
-            .enumerate()
-            .flat_map(|(t, x)| {
-                let id = &id;
-                x.iter().enumerate().map(move |(i, v)| {
-                    vec![
-                        id.clone(),
-                        Value::Int(t as i64),
-                        Value::Int(i as i64),
-                        Value::Float(*v),
-                    ]
-                })
-            })
-            .collect();
-        let fingerprints: Vec<Vec<Value>> = snapshot
-            .fingerprints()
-            .iter()
-            .enumerate()
-            .map(|(t, fp)| {
-                vec![
-                    id.clone(),
-                    Value::Int(t as i64),
-                    fp.map_or(Value::Null, |d| Value::from(d.to_hex())),
-                ]
-            })
-            .collect();
-        let constraints: Vec<Vec<Value>> = snapshot
-            .request
-            .constraints
-            .items()
-            .iter()
-            .enumerate()
-            .map(|(ord, item)| {
-                let (kind, lo, hi) = match item.scope {
-                    jit_constraints::TimeScope::AllTimes => ("all", 0, 0),
-                    jit_constraints::TimeScope::At(t) => ("at", t, t),
-                    jit_constraints::TimeScope::Between(lo, hi) => ("between", lo, hi),
-                };
-                vec![
-                    id.clone(),
-                    Value::Int(ord as i64),
-                    Value::from(kind),
-                    Value::Int(lo as i64),
-                    Value::Int(hi as i64),
-                    Value::from(codec::encode_constraint(&item.constraint)),
-                ]
-            })
-            .collect();
-        let mut candidates = Vec::new();
-        let mut candidate_profiles = Vec::new();
-        for (ord, c) in snapshot.candidates().iter().enumerate() {
-            candidates.push(vec![
-                id.clone(),
-                Value::Int(ord as i64),
-                Value::Int(c.time_index as i64),
-                Value::Int(c.gap as i64),
-                Value::Float(c.diff),
-                Value::Float(c.confidence),
-            ]);
-            for (i, v) in c.profile.iter().enumerate() {
-                candidate_profiles.push(vec![
-                    id.clone(),
-                    Value::Int(ord as i64),
-                    Value::Int(i as i64),
-                    Value::Float(*v),
-                ]);
-            }
+        // Refuse before writing what no later load could read back.
+        if !wire::nests_within_cap(&snapshot.request) {
+            return Err(StoreError::Corrupt {
+                user_id: user_id.into(),
+                detail: "constraints nest past MAX_CONSTRAINT_DEPTH; not saved".into(),
+            });
         }
-
-        // Replace semantics as ONE batch: deletes of any prior snapshot
-        // rows, then the inserts. Durable stores commit it as a single
-        // WAL record, so a crash recovers either the old snapshot or the
-        // new one — never rows from both.
-        let mut ops = Self::delete_ops(&id);
-        ops.extend(
-            [
-                ("jit_snapshots", header),
-                ("jit_snapshot_profile", profile),
-                ("jit_snapshot_inputs", inputs),
-                ("jit_snapshot_fingerprints", fingerprints),
-                ("jit_snapshot_constraints", constraints),
-                ("jit_snapshot_candidates", candidates),
-                ("jit_snapshot_candidate_profiles", candidate_profiles),
-            ]
-            .into_iter()
-            .filter_map(|(table, rows)| insert_op(table, rows)),
-        );
-        self.apply_batch(&ops)
+        let mut blob = vec![FORMAT_VERSION];
+        wire::encode_digest(&mut blob, self.schema_digest);
+        wire::encode_snapshot(&mut blob, snapshot);
+        let _guard = self.op_lock.lock();
+        self.replace(user_id, Some(vec![Value::from(user_id), Value::Blob(blob)]))
     }
 
     fn load(&self, user_id: &str) -> Result<Option<SessionSnapshot>, StoreError> {
-        let _guard = self.op_lock.lock();
-        let header = self.query(&self.stmts.header, user_id)?;
-        let Some(header_row) = header.rows.first() else {
-            return Ok(None);
+        let row = {
+            let _guard = self.op_lock.lock();
+            self.row(user_id)?
         };
-        let digest_hex = match &header_row[0] {
-            Value::Text(s) => s.clone(),
-            other => {
-                return Err(Self::corrupt(user_id, format!("schema digest {other}")))
-            }
-        };
-        let found = Digest::from_hex(&digest_hex)
-            .ok_or_else(|| Self::corrupt(user_id, "unparseable schema digest"))?;
-        if found != self.schema_digest {
-            return Err(StoreError::SchemaMismatch {
-                expected: self.schema_digest,
-                found,
-            });
+        match row.as_deref() {
+            None => Ok(None),
+            Some([Value::Blob(blob)]) => self.decode(user_id, blob).map(Some),
+            Some(_) => Err(StoreError::Corrupt {
+                user_id: user_id.into(),
+                detail: "snapshot is not a blob".into(),
+            }),
         }
-        let horizon = header_row[1]
-            .as_i64()
-            .filter(|h| *h >= 0)
-            .ok_or_else(|| Self::corrupt(user_id, "horizon"))?
-            as usize;
-        let update_text = match &header_row[2] {
-            Value::Text(s) => s.as_str(),
-            other => return Err(Self::corrupt(user_id, format!("update_fn {other}"))),
-        };
-        let update_fn = codec::decode_update_fn(update_text, &self.schema)
-            .map_err(|e| Self::corrupt(user_id, e.to_string()))?;
-
-        // Profile, ordered by coordinate.
-        let rs = self.query(&self.stmts.profile, user_id)?;
-        let profile: Vec<f64> = rs
-            .rows
-            .iter()
-            .map(|r| r[0].as_f64())
-            .collect::<Option<_>>()
-            .ok_or_else(|| Self::corrupt(user_id, "profile values"))?;
-        if profile.len() != self.schema.dim() {
-            return Err(Self::corrupt(user_id, "profile dimension"));
-        }
-
-        // Temporal inputs, (t, idx)-ordered into per-t rows.
-        let rs = self.query(&self.stmts.inputs, user_id)?;
-        let mut temporal_inputs: Vec<Vec<f64>> = vec![Vec::new(); horizon + 1];
-        for row in &rs.rows {
-            let t = row[0]
-                .as_i64()
-                .filter(|t| (0..=horizon as i64).contains(t))
-                .ok_or_else(|| Self::corrupt(user_id, "temporal-input time"))?;
-            let v = row[1]
-                .as_f64()
-                .ok_or_else(|| Self::corrupt(user_id, "temporal-input value"))?;
-            temporal_inputs[t as usize].push(v);
-        }
-        if temporal_inputs.iter().any(|x| x.len() != self.schema.dim()) {
-            return Err(Self::corrupt(user_id, "temporal-input dimension"));
-        }
-
-        // Fingerprints per time point (NULL = unfingerprintable).
-        let rs = self.query(&self.stmts.fingerprints, user_id)?;
-        let mut fingerprints: Vec<Option<Digest>> = vec![None; horizon + 1];
-        if rs.rows.len() != horizon + 1 {
-            return Err(Self::corrupt(user_id, "fingerprint row count"));
-        }
-        for row in &rs.rows {
-            let t = row[0]
-                .as_i64()
-                .filter(|t| (0..=horizon as i64).contains(t))
-                .ok_or_else(|| Self::corrupt(user_id, "fingerprint time"))?;
-            fingerprints[t as usize] = match &row[1] {
-                Value::Null => None,
-                Value::Text(hex) => Some(Digest::from_hex(hex).ok_or_else(|| {
-                    Self::corrupt(user_id, "unparseable fingerprint hex")
-                })?),
-                other => {
-                    return Err(Self::corrupt(user_id, format!("fingerprint {other}")))
-                }
-            };
-        }
-
-        // Preference constraints, in insertion order.
-        let rs = self.query(&self.stmts.constraints, user_id)?;
-        let mut constraints = jit_constraints::ConstraintSet::new();
-        for row in &rs.rows {
-            let body = match &row[3] {
-                Value::Text(s) => s.as_str(),
-                other => {
-                    return Err(Self::corrupt(
-                        user_id,
-                        format!("constraint body {other}"),
-                    ))
-                }
-            };
-            let constraint = codec::decode_constraint(body)
-                .map_err(|e| Self::corrupt(user_id, e.to_string()))?;
-            let scope_int = |i: usize| {
-                row[i]
-                    .as_i64()
-                    .filter(|v| *v >= 0)
-                    .map(|v| v as usize)
-                    .ok_or_else(|| Self::corrupt(user_id, "constraint scope"))
-            };
-            match &row[0] {
-                Value::Text(kind) if kind == "all" => {
-                    constraints.add(constraint);
-                }
-                Value::Text(kind) if kind == "at" => {
-                    constraints.add_at(scope_int(1)?, constraint);
-                }
-                Value::Text(kind) if kind == "between" => {
-                    let (lo, hi) = (scope_int(1)?, scope_int(2)?);
-                    if lo > hi {
-                        return Err(Self::corrupt(user_id, "scope range order"));
-                    }
-                    constraints.add_between(lo, hi, constraint);
-                }
-                other => {
-                    return Err(Self::corrupt(user_id, format!("scope kind {other}")))
-                }
-            }
-        }
-
-        // Candidates with their profiles, in stored order.
-        let rs = self.query(&self.stmts.candidates, user_id)?;
-        let profile_rows = self.query(&self.stmts.candidate_profiles, user_id)?;
-        let mut candidate_profiles: Vec<Vec<f64>> = vec![Vec::new(); rs.rows.len()];
-        for row in &profile_rows.rows {
-            let ord = row[0]
-                .as_i64()
-                .filter(|o| (0..rs.rows.len() as i64).contains(o))
-                .ok_or_else(|| Self::corrupt(user_id, "candidate profile ord"))?;
-            let v = row[1]
-                .as_f64()
-                .ok_or_else(|| Self::corrupt(user_id, "candidate profile value"))?;
-            candidate_profiles[ord as usize].push(v);
-        }
-        if candidate_profiles.iter().any(|p| p.len() != self.schema.dim()) {
-            return Err(Self::corrupt(user_id, "candidate profile dimension"));
-        }
-        let mut candidates = Vec::with_capacity(rs.rows.len());
-        for (row, profile) in rs.rows.iter().zip(candidate_profiles) {
-            let int = |v: &Value, what: &'static str| {
-                v.as_i64()
-                    .filter(|v| *v >= 0)
-                    .map(|v| v as usize)
-                    .ok_or_else(|| Self::corrupt(user_id, what))
-            };
-            candidates.push(Candidate {
-                time_index: int(&row[0], "candidate time")?,
-                profile,
-                gap: int(&row[1], "candidate gap")?,
-                diff: row[2]
-                    .as_f64()
-                    .ok_or_else(|| Self::corrupt(user_id, "candidate diff"))?,
-                confidence: row[3]
-                    .as_f64()
-                    .ok_or_else(|| Self::corrupt(user_id, "candidate p"))?,
-            });
-        }
-
-        let request = UserRequest { profile, constraints, update_fn };
-        SessionSnapshot::from_parts(request, temporal_inputs, candidates, fingerprints)
-            .ok_or_else(|| Self::corrupt(user_id, "inconsistent snapshot shape"))
-            .map(Some)
     }
 
     fn remove(&self, user_id: &str) -> Result<bool, StoreError> {
         let _guard = self.op_lock.lock();
-        let existed = !self.query(&self.stmts.exists, user_id)?.is_empty();
-        if existed || self.wal.is_none() {
-            self.apply_batch(&Self::delete_ops(&Value::from(user_id)))?;
+        let existed = self.row(user_id)?.is_some();
+        if existed {
+            self.replace(user_id, None)?;
         }
         Ok(existed)
     }
 
     fn user_ids(&self) -> Result<Vec<String>, StoreError> {
-        let _guard = self.op_lock.lock();
-        let rs = self.db.execute_prepared(&self.stmts.user_ids, &[])?;
+        let rs = {
+            let _guard = self.op_lock.lock();
+            self.db.execute_prepared(&self.user_ids, &[])?
+        };
         rs.rows
-            .iter()
-            .map(|r| match &r[0] {
-                Value::Text(s) => Ok(s.clone()),
-                other => Err(StoreError::Corrupt {
-                    user_id: other.to_string(),
-                    detail: "non-text user id".to_string(),
+            .into_iter()
+            .map(|row| match row.as_slice() {
+                [Value::Text(id)] => Ok(id.clone()),
+                _ => Err(StoreError::Corrupt {
+                    user_id: String::new(),
+                    detail: "non-text user id".into(),
                 }),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::tests::every_kind_request;
+    use jit_core::{Candidate, UserRequest};
+    use jit_data::LendingClubGenerator;
+    use jit_math::digest::DigestWriter;
+
+    /// Stored blobs outlive the build that wrote them, so their bytes may
+    /// change only together with [`FORMAT_VERSION`]. Two snapshots that
+    /// between them use every tag a blob holds pin the bytes down.
+    #[test]
+    fn stored_bytes_change_only_with_the_format_version() {
+        let schema = FeatureSchema::lending_club();
+        let inputs = vec![LendingClubGenerator::john(); 3];
+        let candidate = Candidate {
+            time_index: 2,
+            profile: vec![-0.0; schema.dim()],
+            diff: 0.1 + 0.2,
+            gap: 2,
+            confidence: f64::from_bits(0x7ff8_0000_dead_beef),
+        };
+        let full = SessionSnapshot::from_parts(
+            every_kind_request(&schema),
+            inputs.clone(),
+            vec![candidate],
+            vec![Some(Digest([1, u64::MAX])), None, Some(Digest([0, 7]))],
+        )
+        .unwrap();
+        let plain = SessionSnapshot::from_parts(
+            UserRequest::new(LendingClubGenerator::john()),
+            inputs,
+            vec![],
+            vec![None; 3],
+        )
+        .unwrap();
+        let store = DbSnapshotStore::in_new_database(&schema).unwrap();
+        let mut digest = DigestWriter::new("jit-service/db_store/stored-bytes");
+        let mut len = 0;
+        for (id, snapshot) in [("full", &full), ("plain", &plain)] {
+            store.save(id, snapshot).unwrap();
+            let row = store.row(id).unwrap().unwrap();
+            let [Value::Blob(blob)] = row.as_slice() else {
+                panic!("one blob column, got {row:?}");
+            };
+            assert!(store.load(id).unwrap().is_some());
+            digest.write_bytes(blob);
+            len += blob.len();
+        }
+        assert_eq!(
+            (FORMAT_VERSION, len, digest.finish()),
+            (1, 1196, Digest([0x3439_ebb5_4327_5906, 0x54bf_54b6_7029_0f9d])),
+            "the stored snapshot bytes changed: bump FORMAT_VERSION, then \
+             update the expected length and digest here"
+        );
     }
 }

@@ -47,17 +47,19 @@
 //!
 //! * [`MemorySnapshotStore`] — a `RwLock<HashMap>`; snapshots live as
 //!   long as the process. The default.
-//! * [`DbSnapshotStore`] — serializes every snapshot **through the
-//!   `jit-db` SQL engine** (INSERT/SELECT text, no side channel):
-//!   floats travel as lossless literals (`Value::sql_literal`),
-//!   fingerprints as [`jit_math::digest::Digest`] hex, constraint sets
-//!   and temporal update functions through an exact bit-preserving text
-//!   codec ([`codec`]). Because the backing [`jit_db::Database`] is the
-//!   durable medium, re-serves survive "process restarts": drop the
-//!   service and the trained system, re-open a store over the same
-//!   database, and [`ServeRequest::Refresh`] reproduces the original
-//!   re-serve bit-for-bit. Each snapshot records the schema's content
-//!   digest; loading under a different schema fails with
+//! * [`DbSnapshotStore`] — one `jit-db` row per user, `(user_id,
+//!   snapshot BLOB)`, written and read through the engine's
+//!   programmatic row API. The blob is a format-version byte, the
+//!   schema's content digest, then the snapshot in the one binary
+//!   encoding [`wire`] also uses for frames, with every float as its raw
+//!   bits. Frames need no version byte, but stored bytes outlive the
+//!   build that wrote them, so an unknown version (or any undecodable
+//!   byte) loads as [`StoreError::Corrupt`]. Because the backing
+//!   [`jit_db::Database`] is the durable medium, re-serves survive
+//!   "process restarts": drop the service and the trained system,
+//!   re-open a store over the same database, and
+//!   [`ServeRequest::Refresh`] reproduces the original re-serve
+//!   bit-for-bit. Loading under a different schema fails with
 //!   [`StoreError::SchemaMismatch`] instead of mis-replaying.
 //!
 //! ## Sharding semantics
@@ -118,8 +120,9 @@
 //! Three modules extend the same contract across process and machine
 //! boundaries without changing a single served byte:
 //!
-//! * [`wire`] — the std-only length-prefixed binary protocol: exact
-//!   f64-bits encoding, typed [`wire::WireError`]s for malformed /
+//! * [`wire`] — the std-only length-prefixed binary protocol and the
+//!   one snapshot codec: exact f64-bits encoding, typed
+//!   [`wire::WireError`]s for malformed /
 //!   truncated / oversized frames (never panics), and the
 //!   shard-count-invariant [`wire::WireResponse`] whose canonical bytes
 //!   ([`wire::response_bytes`]) are the determinism comparison basis.
@@ -158,7 +161,6 @@
 #![forbid(unsafe_code)]
 
 pub mod api;
-pub mod codec;
 pub mod db_store;
 pub mod invalidation;
 pub mod loadgen;

@@ -148,7 +148,7 @@ impl JitService {
         &self,
         request: ServeRequest,
     ) -> Result<ServeResponse<'_>, ServeError> {
-        check_user_ids(&request)?;
+        check_request(&request)?;
         match request {
             ServeRequest::NewUser(member) => self.serve_cohort(vec![member]),
             ServeRequest::Batch(members) => self.serve_cohort(members),
@@ -260,9 +260,11 @@ impl JitService {
     }
 }
 
-/// Shared request validation: batch variants must be non-empty and user
-/// ids unique within one request.
-pub(crate) fn check_user_ids(request: &ServeRequest) -> Result<(), ServeError> {
+/// Shared request validation: batch variants must be non-empty, user
+/// ids unique within one request, and every constraint must nest within
+/// [`crate::wire::MAX_CONSTRAINT_DEPTH`] — deeper ones have no encoding a
+/// frame or store can read back, so every tier refuses them alike.
+pub(crate) fn check_request(request: &ServeRequest) -> Result<(), ServeError> {
     if request.is_empty() {
         return Err(ServeError::EmptyBatch);
     }
@@ -272,5 +274,24 @@ pub(crate) fn check_user_ids(request: &ServeRequest) -> Result<(), ServeError> {
             return Err(ServeError::DuplicateUser(id.to_string()));
         }
     }
-    Ok(())
+    let fits = crate::wire::nests_within_cap;
+    let too_deep = match request {
+        ServeRequest::NewUser(m) => (!fits(&m.request)).then_some(&m.user_id),
+        ServeRequest::Batch(ms) => {
+            ms.iter().find(|m| !fits(&m.request)).map(|m| &m.user_id)
+        }
+        ServeRequest::Returning(ms) => ms
+            .iter()
+            .find(|m| !fits(&m.returning.request) || !fits(&m.returning.prior.request))
+            .map(|m| &m.user_id),
+        ServeRequest::Refresh(_) => None,
+    };
+    match too_deep {
+        Some(id) => Err(ServeError::Transport(format!(
+            "user {id:?}: constraints nest deeper than {} levels, past what the \
+             wire format carries",
+            crate::wire::MAX_CONSTRAINT_DEPTH
+        ))),
+        None => Ok(()),
+    }
 }

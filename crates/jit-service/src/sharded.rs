@@ -20,7 +20,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::api::{ServeError, ServeReport, ServeRequest, ServeResponse, ServedUser};
-use crate::service::{check_user_ids, JitService};
+use crate::service::{check_request, JitService};
 use crate::store::SnapshotStore;
 use jit_core::JustInTime;
 use jit_runtime::Runtime;
@@ -189,7 +189,7 @@ impl ShardedService {
         &self,
         request: ServeRequest,
     ) -> Result<ServeResponse<'_>, ServeError> {
-        check_user_ids(&request)?;
+        check_request(&request)?;
         // Ids in request order (already known unique), for attributing a
         // failing shard's error back to its original request position.
         let all_ids: Vec<String> =

@@ -25,7 +25,9 @@ pub enum StoreError {
         /// Digest recorded with the snapshot.
         found: Digest,
     },
-    /// Stored rows failed to decode back into a snapshot.
+    /// Stored bytes failed to decode back into a snapshot, or a snapshot
+    /// to save has no stored form that would decode (its constraints
+    /// nest past [`crate::wire::MAX_CONSTRAINT_DEPTH`]).
     Corrupt {
         /// The user whose snapshot is damaged.
         user_id: String,

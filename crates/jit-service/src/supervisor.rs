@@ -51,7 +51,7 @@
 
 use crate::api::{ReturningMember, ServeError, ServeRequest};
 use crate::net::ServeBackend;
-use crate::service::check_user_ids;
+use crate::service::check_request;
 use crate::sharded::{error_position, shard_index};
 use crate::store::SnapshotStore;
 use crate::wire::{self, Message, WireReport, WireResponse, MAX_FRAME_LEN};
@@ -374,7 +374,7 @@ impl ProcessShardBackend {
     /// request order wins.
     #[allow(clippy::expect_used)] // see jit-analyze annotation at the call site
     pub fn serve(&self, request: ServeRequest) -> Result<WireResponse, ServeError> {
-        check_user_ids(&request)?;
+        check_request(&request)?;
         let n = self.shards.len();
         let all_ids: Vec<String> =
             request.user_ids().into_iter().map(str::to_string).collect();

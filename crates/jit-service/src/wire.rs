@@ -24,14 +24,22 @@
 //!
 //! ## Value encoding
 //!
-//! All integers are little-endian; counts and lengths are `u32`. Floats
-//! travel as their raw IEEE-754 bits (`f64::to_bits`, little-endian) —
-//! the binary twin of the snapshot codec's 16-hex-digit discipline — so
-//! every NaN payload, `-0.0` and subnormal round-trips **bit-exactly**.
-//! Strings are `u32` length + UTF-8 bytes. Constraint ASTs and temporal
-//! update functions reuse the exact text codec of [`crate::codec`] as
-//! length-prefixed strings, so the wire inherits its bit-exactness
-//! guarantees (and its decoder's typed failure modes).
+//! Payloads are built on `jit-db`'s binary primitives
+//! ([`jit_db::codec`]): integers are little-endian, counts and lengths
+//! `u32`, and floats travel as their raw IEEE-754 bits
+//! (`f64::to_bits`), so every NaN payload, `-0.0` and subnormal
+//! round-trips **bit-exactly**. Strings are `u32` length + UTF-8 bytes;
+//! enums are one tag byte. Constraint ASTs and temporal update functions
+//! are encoded the same way, inline, so a decoded constraint set
+//! compiles to the same content digests as the one encoded. Constraint
+//! nesting is capped at [`MAX_CONSTRAINT_DEPTH`] levels.
+//!
+//! This module owns the one serialized form of a [`SessionSnapshot`]:
+//! [`crate::DbSnapshotStore`] persists the same bytes. A stored blob
+//! leads with a format-version byte and a frame does not, because
+//! stored bytes outlive the build that wrote them while both ends of a
+//! connection run one build (a shard worker is checked against its
+//! supervisor's schema at the handshake).
 //!
 //! ## Determinism contract
 //!
@@ -59,26 +67,38 @@
 use crate::api::{
     CohortMember, ReturningMember, ServeError, ServeRequest, ServeResponse,
 };
-use crate::codec;
 use crate::store::StoreError;
 use crate::supervisor::{DataSpec, TrainSpec};
-use jit_constraints::{ConstraintSet, TimeScope};
+use jit_constraints::{
+    CmpOp, Constraint, ConstraintSet, LinExpr, Special, TimeScope, VarRef,
+};
 use jit_core::{
     AdminConfig, BatchParallelism, Candidate, CandidateParams, Objective,
     ReturningUser, SessionError, SessionSnapshot, TimePointServe, UserRequest,
 };
-use jit_data::FeatureSchema;
+use jit_data::{FeatureSchema, TemporalSpec};
+use jit_db::codec::{
+    encode_f64, encode_str, encode_u32, encode_u64, encode_usize, Decoder,
+};
+use jit_db::DbError;
 use jit_math::digest::Digest;
 use jit_ml::threshold::ThresholdPolicy;
 use jit_ml::RandomForestParams;
 use jit_temporal::future::{FutureModelsParams, FuturePredictor};
 use jit_temporal::herding::HerdingParams;
+use jit_temporal::update::{Override, TemporalUpdateFn};
 use std::fmt;
 use std::io::{Read, Write};
 
 /// Default frame cap: generous for cohort responses, small enough that a
 /// corrupt length prefix cannot drive a multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
+
+/// Deepest `And`/`Or`/`Not` nesting a decoded constraint may have.
+/// Decoding recurses once per level, so without a cap a few kilobytes
+/// of nested tags would overflow the decoding thread's stack; past the
+/// cap a frame or stored snapshot is [`WireError::Malformed`].
+pub const MAX_CONSTRAINT_DEPTH: usize = 64;
 
 /// Everything frame I/O and payload decoding can fail with.
 #[derive(Debug)]
@@ -112,7 +132,7 @@ impl fmt::Display for WireError {
                 write!(f, "oversized frame: {len} bytes exceeds the {max}-byte cap")
             }
             WireError::Malformed { offset, expected } => {
-                write!(f, "malformed frame: expected {expected} at byte {offset}")
+                write!(f, "malformed payload: expected {expected} at byte {offset}")
             }
             WireError::Closed => write!(f, "connection closed"),
         }
@@ -131,6 +151,18 @@ impl std::error::Error for WireError {
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<DbError> for WireError {
+    /// Payloads decode on `jit-db`'s bounds-checked [`Decoder`], which
+    /// fails only with [`DbError::Codec`]: the same offset and
+    /// expectation, as a malformed frame.
+    fn from(e: DbError) -> Self {
+        match e {
+            DbError::Codec { offset, expected } => malformed(offset, expected),
+            _ => malformed(0, "a decodable payload"),
+        }
     }
 }
 
@@ -197,404 +229,450 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Primitive value codecs
+// Domain value codecs (on jit-db's primitives)
 // ---------------------------------------------------------------------
 
-/// Append-only encoder for frame bodies.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
+/// Capacity preallocated for a decoded collection: a lying count costs
+/// at most this many slots up front, and honest larger ones grow.
+const PREALLOC: usize = 1024;
+
+fn malformed(offset: usize, expected: &'static str) -> WireError {
+    WireError::Malformed { offset, expected }
 }
 
-impl Writer {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Writer::default()
+fn encode_f64s(out: &mut Vec<u8>, v: &[f64]) {
+    encode_u32(out, v.len() as u32);
+    for x in v {
+        encode_f64(out, *x);
     }
+}
 
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+fn decode_f64s(
+    d: &mut Decoder<'_>,
+    expected: &'static str,
+) -> Result<Vec<f64>, WireError> {
+    let n = d.u32(expected)? as usize;
+    let mut out = Vec::with_capacity(n.min(PREALLOC));
+    for _ in 0..n {
+        out.push(d.f64(expected)?);
     }
+    Ok(out)
+}
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+pub(crate) fn encode_digest(out: &mut Vec<u8>, digest: Digest) {
+    let Digest([a, b]) = digest;
+    encode_u64(out, a);
+    encode_u64(out, b);
+}
+
+pub(crate) fn decode_digest(
+    d: &mut Decoder<'_>,
+    expected: &'static str,
+) -> Result<Digest, WireError> {
+    Ok(Digest([d.u64(expected)?, d.u64(expected)?]))
+}
+
+fn encode_lin(out: &mut Vec<u8>, e: &LinExpr) {
+    encode_f64(out, e.constant_part());
+    encode_u32(out, e.terms().count() as u32);
+    for (var, coef) in e.terms() {
+        match var {
+            VarRef::Feature(name) => {
+                out.push(0);
+                encode_str(out, name);
+            }
+            VarRef::Special(Special::Diff) => out.push(1),
+            VarRef::Special(Special::Gap) => out.push(2),
+            VarRef::Special(Special::Confidence) => out.push(3),
+        }
+        encode_f64(out, coef);
     }
+}
 
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+fn decode_lin(d: &mut Decoder<'_>) -> Result<LinExpr, WireError> {
+    let constant = d.f64("linear constant")?;
+    let n = d.u32("term count")? as usize;
+    let mut terms = Vec::with_capacity(n.min(PREALLOC));
+    for _ in 0..n {
+        let var = match d.tag(4, "variable tag")? {
+            0 => VarRef::Feature(d.str("feature name")?),
+            1 => VarRef::Special(Special::Diff),
+            2 => VarRef::Special(Special::Gap),
+            _ => VarRef::Special(Special::Confidence),
+        };
+        terms.push((var, d.f64("coefficient")?));
     }
+    Ok(LinExpr::from_terms(terms, constant))
+}
 
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Raw IEEE-754 bits, little-endian: bit-exact for every payload.
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn digest(&mut self, d: Digest) {
-        self.u64(d.0[0]);
-        self.u64(d.0[1]);
-    }
-
-    fn count(&mut self, n: usize) {
-        debug_assert!(n <= u32::MAX as usize);
-        self.u32(n as u32);
-    }
-
-    fn vec_f64(&mut self, v: &[f64]) {
-        self.count(v.len());
-        for x in v {
-            self.f64(*x);
+fn encode_constraint(out: &mut Vec<u8>, c: &Constraint) {
+    match c {
+        Constraint::True => out.push(0),
+        Constraint::Cmp { lhs, op, rhs } => {
+            out.push(1);
+            out.push(match op {
+                CmpOp::Le => 0,
+                CmpOp::Lt => 1,
+                CmpOp::Ge => 2,
+                CmpOp::Gt => 3,
+                CmpOp::Eq => 4,
+                CmpOp::Ne => 5,
+            });
+            encode_lin(out, lhs);
+            encode_lin(out, rhs);
+        }
+        Constraint::And(cs) | Constraint::Or(cs) => {
+            out.push(if matches!(c, Constraint::And(_)) { 2 } else { 3 });
+            encode_u32(out, cs.len() as u32);
+            for c in cs {
+                encode_constraint(out, c);
+            }
+        }
+        Constraint::Not(inner) => {
+            out.push(4);
+            encode_constraint(out, inner);
         }
     }
 }
 
-/// Cursor-based decoder over a frame body; every failure carries the
-/// byte offset and what was expected.
-pub struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Decodes one constraint `depth` combinators below the top. Recursion
+/// is bounded by [`MAX_CONSTRAINT_DEPTH`], whatever the bytes claim.
+fn decode_constraint(
+    d: &mut Decoder<'_>,
+    depth: usize,
+) -> Result<Constraint, WireError> {
+    let at = d.offset();
+    let tag = d.tag(5, "constraint tag")?;
+    if tag >= 2 && depth == MAX_CONSTRAINT_DEPTH {
+        return Err(malformed(at, "constraint nesting within MAX_CONSTRAINT_DEPTH"));
+    }
+    Ok(match tag {
+        0 => Constraint::True,
+        1 => {
+            let op = match d.tag(6, "comparison op")? {
+                0 => CmpOp::Le,
+                1 => CmpOp::Lt,
+                2 => CmpOp::Ge,
+                3 => CmpOp::Gt,
+                4 => CmpOp::Eq,
+                _ => CmpOp::Ne,
+            };
+            let lhs = decode_lin(d)?;
+            let rhs = decode_lin(d)?;
+            Constraint::Cmp { lhs, op, rhs }
+        }
+        2 | 3 => {
+            let n = d.u32("constraint count")? as usize;
+            let mut cs = Vec::with_capacity(n.min(PREALLOC));
+            for _ in 0..n {
+                cs.push(decode_constraint(d, depth + 1)?);
+            }
+            if tag == 2 {
+                Constraint::And(cs)
+            } else {
+                Constraint::Or(cs)
+            }
+        }
+        _ => Constraint::Not(Box::new(decode_constraint(d, depth + 1)?)),
+    })
 }
 
-impl<'a> Reader<'a> {
-    /// A reader over a full frame body.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn err(&self, expected: &'static str) -> WireError {
-        WireError::Malformed { offset: self.pos, expected }
-    }
-
-    fn take(
-        &mut self,
-        n: usize,
-        expected: &'static str,
-    ) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(self.err(expected));
+/// Whether every constraint in `request` nests within
+/// [`MAX_CONSTRAINT_DEPTH`]. Deeper ones encode to bytes no decoder
+/// accepts, so the serving tiers refuse them at admission and the store
+/// refuses them before writing.
+pub(crate) fn nests_within_cap(request: &UserRequest) -> bool {
+    fn fits(c: &Constraint, depth: usize) -> bool {
+        match c {
+            Constraint::True | Constraint::Cmp { .. } => true,
+            _ if depth == MAX_CONSTRAINT_DEPTH => false,
+            Constraint::And(cs) | Constraint::Or(cs) => {
+                cs.iter().all(|c| fits(c, depth + 1))
+            }
+            Constraint::Not(inner) => fits(inner, depth + 1),
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
+    request.constraints.items().iter().all(|item| fits(&item.constraint, 0))
+}
 
-    fn u8(&mut self, expected: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, expected)?[0])
+fn encode_spec(out: &mut Vec<u8>, spec: &TemporalSpec) {
+    match spec {
+        TemporalSpec::Static => out.push(0),
+        TemporalSpec::Linear { per_period } => {
+            out.push(1);
+            encode_f64(out, *per_period);
+        }
+        TemporalSpec::Compound { rate } => {
+            out.push(2);
+            encode_f64(out, *rate);
+        }
     }
+}
 
-    fn u32(&mut self, expected: &'static str) -> Result<u32, WireError> {
-        let b = self.take(4, expected)?;
-        let a: [u8; 4] = b.try_into().map_err(|_| self.err(expected))?;
-        Ok(u32::from_le_bytes(a))
-    }
+fn decode_spec(d: &mut Decoder<'_>) -> Result<TemporalSpec, WireError> {
+    Ok(match d.tag(3, "temporal spec tag")? {
+        0 => TemporalSpec::Static,
+        1 => TemporalSpec::Linear { per_period: d.f64("per-period change")? },
+        _ => TemporalSpec::Compound { rate: d.f64("compound rate")? },
+    })
+}
 
-    fn u64(&mut self, expected: &'static str) -> Result<u64, WireError> {
-        let b = self.take(8, expected)?;
-        let a: [u8; 8] = b.try_into().map_err(|_| self.err(expected))?;
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn usize(&mut self, expected: &'static str) -> Result<usize, WireError> {
-        let v = self.u64(expected)?;
-        usize::try_from(v).map_err(|_| self.err(expected))
-    }
-
-    fn bool(&mut self, expected: &'static str) -> Result<bool, WireError> {
-        match self.u8(expected)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => {
-                self.pos -= 1;
-                Err(self.err(expected))
+fn encode_update_fn(out: &mut Vec<u8>, update: Option<&TemporalUpdateFn>) {
+    let Some(update) = update else {
+        out.push(0);
+        return;
+    };
+    out.push(1);
+    encode_u32(out, update.specs().len() as u32);
+    for (spec, over) in update.specs().iter().zip(update.overrides()) {
+        encode_spec(out, spec);
+        match over {
+            None => out.push(0),
+            Some(Override::Spec(s)) => {
+                out.push(1);
+                encode_spec(out, s);
+            }
+            Some(Override::Trajectory(traj)) => {
+                out.push(2);
+                encode_f64s(out, traj);
             }
         }
     }
-
-    fn f64(&mut self, expected: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(expected)?))
-    }
-
-    fn str(&mut self, expected: &'static str) -> Result<String, WireError> {
-        let len = self.u32(expected)? as usize;
-        let bytes = self.take(len, expected)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed {
-            offset: self.pos - len,
-            expected: "utf-8 string",
-        })
-    }
-
-    fn digest(&mut self, expected: &'static str) -> Result<Digest, WireError> {
-        Ok(Digest([self.u64(expected)?, self.u64(expected)?]))
-    }
-
-    fn count(&mut self, expected: &'static str) -> Result<usize, WireError> {
-        Ok(self.u32(expected)? as usize)
-    }
-
-    fn vec_f64(&mut self, expected: &'static str) -> Result<Vec<f64>, WireError> {
-        let n = self.count(expected)?;
-        // Cap preallocation by what the remaining bytes can actually
-        // hold, so a lying count cannot drive a huge allocation.
-        let mut out = Vec::with_capacity(n.min(self.bytes.len() / 8 + 1));
-        for _ in 0..n {
-            out.push(self.f64(expected)?);
-        }
-        Ok(out)
-    }
-
-    /// `true` when every byte was consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn finish(self, expected: &'static str) -> Result<(), WireError> {
-        if self.at_end() {
-            Ok(())
-        } else {
-            Err(self.err(expected))
-        }
-    }
 }
 
-// ---------------------------------------------------------------------
-// Domain value codecs
-// ---------------------------------------------------------------------
+/// Decodes an optional update function against the serving schema: an
+/// update function recorded under another dimension cannot be rebuilt
+/// faithfully, so it is malformed here.
+fn decode_update_fn(
+    d: &mut Decoder<'_>,
+    schema: &FeatureSchema,
+) -> Result<Option<TemporalUpdateFn>, WireError> {
+    if d.tag(2, "update-fn tag")? == 0 {
+        return Ok(None);
+    }
+    let at = d.offset();
+    let dim = d.u32("update-fn dimension")? as usize;
+    let mut specs = Vec::with_capacity(dim.min(PREALLOC));
+    let mut overrides = Vec::with_capacity(dim.min(PREALLOC));
+    for _ in 0..dim {
+        specs.push(decode_spec(d)?);
+        overrides.push(match d.tag(3, "override tag")? {
+            0 => None,
+            1 => Some(Override::Spec(decode_spec(d)?)),
+            _ => Some(Override::Trajectory(decode_f64s(d, "trajectory")?)),
+        });
+    }
+    TemporalUpdateFn::from_parts(schema, specs, overrides)
+        .map(Some)
+        .ok_or(malformed(at, "schema-dimension update fn"))
+}
 
-fn encode_user_request(w: &mut Writer, request: &UserRequest) {
-    w.vec_f64(&request.profile);
+fn encode_user_request(out: &mut Vec<u8>, request: &UserRequest) {
+    encode_f64s(out, &request.profile);
     let items = request.constraints.items();
-    w.count(items.len());
+    encode_u32(out, items.len() as u32);
     for item in items {
         match item.scope {
-            TimeScope::AllTimes => w.u8(0),
+            TimeScope::AllTimes => out.push(0),
             TimeScope::At(t) => {
-                w.u8(1);
-                w.usize(t);
+                out.push(1);
+                encode_usize(out, t);
             }
             TimeScope::Between(lo, hi) => {
-                w.u8(2);
-                w.usize(lo);
-                w.usize(hi);
+                out.push(2);
+                encode_usize(out, lo);
+                encode_usize(out, hi);
             }
         }
-        w.str(&codec::encode_constraint(&item.constraint));
+        encode_constraint(out, &item.constraint);
     }
-    w.str(&codec::encode_update_fn(request.update_fn.as_ref()));
+    encode_update_fn(out, request.update_fn.as_ref());
 }
 
 fn decode_user_request(
-    r: &mut Reader<'_>,
+    d: &mut Decoder<'_>,
     schema: &FeatureSchema,
 ) -> Result<UserRequest, WireError> {
-    let profile = r.vec_f64("profile")?;
-    let n = r.count("constraint count")?;
+    let profile = decode_f64s(d, "profile")?;
+    let n = d.u32("constraint count")? as usize;
     let mut constraints = ConstraintSet::new();
     for _ in 0..n {
-        let scope = r.u8("constraint scope tag")?;
-        let (lo, hi) = match scope {
-            0 => (0, 0),
-            1 => {
-                let t = r.usize("scope time")?;
-                (t, t)
-            }
-            2 => (r.usize("scope lo")?, r.usize("scope hi")?),
-            _ => {
-                r.pos -= 1;
-                return Err(r.err("constraint scope tag"));
-            }
+        let at = d.offset();
+        let scope = match d.tag(3, "constraint scope tag")? {
+            0 => TimeScope::AllTimes,
+            1 => TimeScope::At(d.usize("scope time")?),
+            _ => TimeScope::Between(d.usize("scope lo")?, d.usize("scope hi")?),
         };
-        let blob = r.str("constraint blob")?;
-        let constraint = codec::decode_constraint(&blob)
-            .map_err(|_| r.err("decodable constraint blob"))?;
+        let constraint = decode_constraint(d, 0)?;
         match scope {
-            0 => constraints.add(constraint),
-            1 => constraints.add_at(lo, constraint),
-            _ => {
-                if lo > hi {
-                    return Err(r.err("ordered scope range"));
-                }
+            TimeScope::AllTimes => constraints.add(constraint),
+            TimeScope::At(t) => constraints.add_at(t, constraint),
+            TimeScope::Between(lo, hi) if lo <= hi => {
                 constraints.add_between(lo, hi, constraint)
             }
+            TimeScope::Between(..) => return Err(malformed(at, "ordered scope range")),
         };
     }
-    let update_blob = r.str("update-fn blob")?;
-    let update_fn = codec::decode_update_fn(&update_blob, schema)
-        .map_err(|_| r.err("decodable update-fn blob"))?;
+    let update_fn = decode_update_fn(d, schema)?;
     Ok(UserRequest { profile, constraints, update_fn })
 }
 
-fn encode_snapshot(w: &mut Writer, snapshot: &SessionSnapshot) {
-    encode_user_request(w, &snapshot.request);
+/// Appends a snapshot's bytes: the one serialized form of a
+/// [`SessionSnapshot`], in frames and in [`crate::DbSnapshotStore`]'s
+/// blobs. The store versions these bytes, so a change here must bump
+/// its format version.
+pub(crate) fn encode_snapshot(out: &mut Vec<u8>, snapshot: &SessionSnapshot) {
+    encode_user_request(out, &snapshot.request);
     let inputs = snapshot.temporal_inputs();
-    w.count(inputs.len());
+    encode_u32(out, inputs.len() as u32);
     for row in inputs {
-        w.vec_f64(row);
+        encode_f64s(out, row);
     }
     let candidates = snapshot.candidates();
-    w.count(candidates.len());
+    encode_u32(out, candidates.len() as u32);
     for c in candidates {
-        w.usize(c.time_index);
-        w.vec_f64(&c.profile);
-        w.f64(c.diff);
-        w.usize(c.gap);
-        w.f64(c.confidence);
+        encode_usize(out, c.time_index);
+        encode_f64s(out, &c.profile);
+        encode_f64(out, c.diff);
+        encode_usize(out, c.gap);
+        encode_f64(out, c.confidence);
     }
     let fingerprints = snapshot.fingerprints();
-    w.count(fingerprints.len());
+    encode_u32(out, fingerprints.len() as u32);
     for fp in fingerprints {
         match fp {
-            None => w.u8(0),
-            Some(d) => {
-                w.u8(1);
-                w.digest(*d);
+            None => out.push(0),
+            Some(digest) => {
+                out.push(1);
+                encode_digest(out, *digest);
             }
         }
     }
 }
 
-fn decode_snapshot(
-    r: &mut Reader<'_>,
+/// Decodes [`encode_snapshot`] bytes. Every vector must have the
+/// schema's dimension and the parts must agree in shape, so damaged
+/// bytes never become a snapshot that mis-serves.
+pub(crate) fn decode_snapshot(
+    d: &mut Decoder<'_>,
     schema: &FeatureSchema,
 ) -> Result<SessionSnapshot, WireError> {
-    let request = decode_user_request(r, schema)?;
-    let n_inputs = r.count("temporal input count")?;
-    let mut temporal_inputs = Vec::with_capacity(n_inputs.min(1024));
+    let start = d.offset();
+    let request = decode_user_request(d, schema)?;
+    let n_inputs = d.u32("temporal input count")? as usize;
+    let mut temporal_inputs = Vec::with_capacity(n_inputs.min(PREALLOC));
     for _ in 0..n_inputs {
-        temporal_inputs.push(r.vec_f64("temporal input")?);
+        temporal_inputs.push(decode_f64s(d, "temporal input")?);
     }
-    let n_candidates = r.count("candidate count")?;
-    let mut candidates = Vec::with_capacity(n_candidates.min(1024));
+    let n_candidates = d.u32("candidate count")? as usize;
+    let mut candidates = Vec::with_capacity(n_candidates.min(PREALLOC));
     for _ in 0..n_candidates {
         candidates.push(Candidate {
-            time_index: r.usize("candidate time index")?,
-            profile: r.vec_f64("candidate profile")?,
-            diff: r.f64("candidate diff")?,
-            gap: r.usize("candidate gap")?,
-            confidence: r.f64("candidate confidence")?,
+            time_index: d.usize("candidate time index")?,
+            profile: decode_f64s(d, "candidate profile")?,
+            diff: d.f64("candidate diff")?,
+            gap: d.usize("candidate gap")?,
+            confidence: d.f64("candidate confidence")?,
         });
     }
-    let n_fps = r.count("fingerprint count")?;
-    let mut fingerprints = Vec::with_capacity(n_fps.min(1024));
+    let n_fps = d.u32("fingerprint count")? as usize;
+    let mut fingerprints = Vec::with_capacity(n_fps.min(PREALLOC));
     for _ in 0..n_fps {
-        fingerprints.push(match r.u8("fingerprint tag")? {
+        fingerprints.push(match d.tag(2, "fingerprint tag")? {
             0 => None,
-            1 => Some(r.digest("fingerprint digest")?),
-            _ => {
-                r.pos -= 1;
-                return Err(r.err("fingerprint tag"));
-            }
+            _ => Some(decode_digest(d, "fingerprint digest")?),
         });
+    }
+    let dim = schema.dim();
+    if request.profile.len() != dim
+        || temporal_inputs.iter().any(|x| x.len() != dim)
+        || candidates.iter().any(|c| c.profile.len() != dim)
+    {
+        return Err(malformed(start, "schema-dimension snapshot vectors"));
     }
     SessionSnapshot::from_parts(request, temporal_inputs, candidates, fingerprints)
-        .ok_or(WireError::Malformed {
-            offset: 0,
-            expected: "internally consistent snapshot shape",
-        })
+        .ok_or(malformed(start, "internally consistent snapshot shape"))
 }
 
 /// Encodes a [`ServeRequest`] body (without frame or message tag).
-pub fn encode_request(w: &mut Writer, request: &ServeRequest) {
+fn encode_request(out: &mut Vec<u8>, request: &ServeRequest) {
     match request {
         ServeRequest::NewUser(m) => {
-            w.u8(0);
-            w.str(&m.user_id);
-            encode_user_request(w, &m.request);
+            out.push(0);
+            encode_str(out, &m.user_id);
+            encode_user_request(out, &m.request);
         }
         ServeRequest::Batch(ms) => {
-            w.u8(1);
-            w.count(ms.len());
+            out.push(1);
+            encode_u32(out, ms.len() as u32);
             for m in ms {
-                w.str(&m.user_id);
-                encode_user_request(w, &m.request);
+                encode_str(out, &m.user_id);
+                encode_user_request(out, &m.request);
             }
         }
         ServeRequest::Returning(ms) => {
-            w.u8(2);
-            w.count(ms.len());
+            out.push(2);
+            encode_u32(out, ms.len() as u32);
             for m in ms {
-                w.str(&m.user_id);
-                encode_user_request(w, &m.returning.request);
-                encode_snapshot(w, &m.returning.prior);
+                encode_str(out, &m.user_id);
+                encode_user_request(out, &m.returning.request);
+                encode_snapshot(out, &m.returning.prior);
             }
         }
         ServeRequest::Refresh(ids) => {
-            w.u8(3);
-            w.count(ids.len());
+            out.push(3);
+            encode_u32(out, ids.len() as u32);
             for id in ids {
-                w.str(id);
+                encode_str(out, id);
             }
         }
     }
 }
 
 /// Decodes a [`ServeRequest`] body.
-///
-/// # Errors
-/// [`WireError::Malformed`] on any byte-level mismatch; never panics.
-pub fn decode_request(
-    r: &mut Reader<'_>,
+fn decode_request(
+    d: &mut Decoder<'_>,
     schema: &FeatureSchema,
 ) -> Result<ServeRequest, WireError> {
-    match r.u8("request tag")? {
+    Ok(match d.tag(4, "request tag")? {
         0 => {
-            let user_id = r.str("user id")?;
-            let request = decode_user_request(r, schema)?;
-            Ok(ServeRequest::NewUser(CohortMember { user_id, request }))
+            let user_id = d.str("user id")?;
+            let request = decode_user_request(d, schema)?;
+            ServeRequest::NewUser(CohortMember { user_id, request })
         }
         1 => {
-            let n = r.count("batch count")?;
-            let mut ms = Vec::with_capacity(n.min(4096));
+            let n = d.u32("batch count")? as usize;
+            let mut ms = Vec::with_capacity(n.min(PREALLOC));
             for _ in 0..n {
-                let user_id = r.str("user id")?;
-                let request = decode_user_request(r, schema)?;
+                let user_id = d.str("user id")?;
+                let request = decode_user_request(d, schema)?;
                 ms.push(CohortMember { user_id, request });
             }
-            Ok(ServeRequest::Batch(ms))
+            ServeRequest::Batch(ms)
         }
         2 => {
-            let n = r.count("returning count")?;
-            let mut ms = Vec::with_capacity(n.min(4096));
+            let n = d.u32("returning count")? as usize;
+            let mut ms = Vec::with_capacity(n.min(PREALLOC));
             for _ in 0..n {
-                let user_id = r.str("user id")?;
-                let request = decode_user_request(r, schema)?;
-                let prior = decode_snapshot(r, schema)?;
+                let user_id = d.str("user id")?;
+                let request = decode_user_request(d, schema)?;
+                let prior = decode_snapshot(d, schema)?;
                 ms.push(ReturningMember {
                     user_id,
                     returning: ReturningUser { request, prior },
                 });
             }
-            Ok(ServeRequest::Returning(ms))
-        }
-        3 => {
-            let n = r.count("refresh count")?;
-            let mut ids = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                ids.push(r.str("user id")?);
-            }
-            Ok(ServeRequest::Refresh(ids))
+            ServeRequest::Returning(ms)
         }
         _ => {
-            r.pos -= 1;
-            Err(r.err("request tag"))
+            let n = d.u32("refresh count")? as usize;
+            let mut ids = Vec::with_capacity(n.min(PREALLOC));
+            for _ in 0..n {
+                ids.push(d.str("user id")?);
+            }
+            ServeRequest::Refresh(ids)
         }
-    }
+    })
 }
 
 /// One served user in a [`WireResponse`]: the owned twin of
@@ -663,18 +741,18 @@ impl WireResponse {
 }
 
 /// Encodes a [`WireResponse`] body.
-pub fn encode_response(w: &mut Writer, response: &WireResponse) {
-    w.count(response.users.len());
+fn encode_response(out: &mut Vec<u8>, response: &WireResponse) {
+    encode_u32(out, response.users.len() as u32);
     for user in &response.users {
-        w.str(&user.user_id);
-        encode_snapshot(w, &user.snapshot);
+        encode_str(out, &user.user_id);
+        encode_snapshot(out, &user.snapshot);
         match &user.provenance {
-            None => w.u8(0),
+            None => out.push(0),
             Some(report) => {
-                w.u8(1);
-                w.count(report.len());
+                out.push(1);
+                encode_u32(out, report.len() as u32);
                 for served in report {
-                    w.u8(match served {
+                    out.push(match served {
                         TimePointServe::Replayed => 0,
                         TimePointServe::Recomputed => 1,
                     });
@@ -682,202 +760,172 @@ pub fn encode_response(w: &mut Writer, response: &WireResponse) {
             }
         }
     }
-    w.usize(response.report.users);
-    w.usize(response.report.replayed_time_points);
-    w.usize(response.report.recomputed_time_points);
-    w.usize(response.report.cold_time_points);
+    encode_usize(out, response.report.users);
+    encode_usize(out, response.report.replayed_time_points);
+    encode_usize(out, response.report.recomputed_time_points);
+    encode_usize(out, response.report.cold_time_points);
 }
 
 /// Decodes a [`WireResponse`] body.
-///
-/// # Errors
-/// [`WireError::Malformed`] on any byte-level mismatch; never panics.
-pub fn decode_response(
-    r: &mut Reader<'_>,
+fn decode_response(
+    d: &mut Decoder<'_>,
     schema: &FeatureSchema,
 ) -> Result<WireResponse, WireError> {
-    let n = r.count("served user count")?;
-    let mut users = Vec::with_capacity(n.min(4096));
+    let n = d.u32("served user count")? as usize;
+    let mut users = Vec::with_capacity(n.min(PREALLOC));
     for _ in 0..n {
-        let user_id = r.str("user id")?;
-        let snapshot = decode_snapshot(r, schema)?;
-        let provenance = match r.u8("provenance tag")? {
+        let user_id = d.str("user id")?;
+        let snapshot = decode_snapshot(d, schema)?;
+        let provenance = match d.tag(2, "provenance tag")? {
             0 => None,
-            1 => {
-                let n = r.count("provenance count")?;
-                let mut report = Vec::with_capacity(n.min(4096));
+            _ => {
+                let n = d.u32("provenance count")? as usize;
+                let mut report = Vec::with_capacity(n.min(PREALLOC));
                 for _ in 0..n {
-                    report.push(match r.u8("provenance entry")? {
+                    report.push(match d.tag(2, "provenance entry")? {
                         0 => TimePointServe::Replayed,
-                        1 => TimePointServe::Recomputed,
-                        _ => {
-                            r.pos -= 1;
-                            return Err(r.err("provenance entry"));
-                        }
+                        _ => TimePointServe::Recomputed,
                     });
                 }
                 Some(report)
-            }
-            _ => {
-                r.pos -= 1;
-                return Err(r.err("provenance tag"));
             }
         };
         users.push(WireServedUser { user_id, snapshot, provenance });
     }
     let report = WireReport {
-        users: r.usize("report users")?,
-        replayed_time_points: r.usize("report replayed")?,
-        recomputed_time_points: r.usize("report recomputed")?,
-        cold_time_points: r.usize("report cold")?,
+        users: d.usize("report users")?,
+        replayed_time_points: d.usize("report replayed")?,
+        recomputed_time_points: d.usize("report recomputed")?,
+        cold_time_points: d.usize("report cold")?,
     };
     Ok(WireResponse { users, report })
 }
 
 /// Encodes a [`ServeError`] body. Nested database errors are carried as
 /// their rendered message (see the module docs on the lossy mapping).
-pub fn encode_error(w: &mut Writer, error: &ServeError) {
+fn encode_error(out: &mut Vec<u8>, error: &ServeError) {
     match error {
-        ServeError::EmptyBatch => w.u8(0),
+        ServeError::EmptyBatch => out.push(0),
         ServeError::DuplicateUser(id) => {
-            w.u8(1);
-            w.str(id);
+            out.push(1);
+            encode_str(out, id);
         }
         ServeError::UnknownUser(id) => {
-            w.u8(2);
-            w.str(id);
+            out.push(2);
+            encode_str(out, id);
         }
         ServeError::Session { user_id, error } => {
-            w.u8(3);
-            w.str(user_id);
+            out.push(3);
+            encode_str(out, user_id);
             match error {
                 SessionError::DimensionMismatch { expected, found } => {
-                    w.u8(0);
-                    w.usize(*expected);
-                    w.usize(*found);
+                    out.push(0);
+                    encode_usize(out, *expected);
+                    encode_usize(out, *found);
                 }
                 SessionError::UnknownFeature(name) => {
-                    w.u8(1);
-                    w.str(name);
+                    out.push(1);
+                    encode_str(out, name);
                 }
                 SessionError::Db(e) => {
-                    w.u8(2);
+                    out.push(2);
                     // jit-analyze: allow(no-lossy-float-fmt) — documented lossy error mapping: DbError crosses the wire as display text
-                    w.str(&e.to_string());
+                    encode_str(out, &e.to_string());
                 }
             }
         }
         ServeError::Store { user_id, error } => {
-            w.u8(4);
+            out.push(4);
             match user_id {
-                None => w.u8(0),
+                None => out.push(0),
                 Some(id) => {
-                    w.u8(1);
-                    w.str(id);
+                    out.push(1);
+                    encode_str(out, id);
                 }
             }
             match error {
                 StoreError::Db(e) => {
-                    w.u8(0);
+                    out.push(0);
                     // jit-analyze: allow(no-lossy-float-fmt) — documented lossy error mapping: DbError crosses the wire as display text
-                    w.str(&e.to_string());
+                    encode_str(out, &e.to_string());
                 }
                 StoreError::SchemaMismatch { expected, found } => {
-                    w.u8(1);
-                    w.digest(*expected);
-                    w.digest(*found);
+                    out.push(1);
+                    encode_digest(out, *expected);
+                    encode_digest(out, *found);
                 }
                 StoreError::Corrupt { user_id, detail } => {
-                    w.u8(2);
-                    w.str(user_id);
-                    w.str(detail);
+                    out.push(2);
+                    encode_str(out, user_id);
+                    encode_str(out, detail);
                 }
                 StoreError::Unavailable(why) => {
-                    w.u8(3);
-                    w.str(why);
+                    out.push(3);
+                    encode_str(out, why);
                 }
             }
         }
         ServeError::Overloaded { capacity } => {
-            w.u8(5);
-            w.usize(*capacity);
+            out.push(5);
+            encode_usize(out, *capacity);
         }
         ServeError::Shard { shard, user_id, detail } => {
-            w.u8(6);
-            w.usize(*shard);
-            w.str(user_id);
-            w.str(detail);
+            out.push(6);
+            encode_usize(out, *shard);
+            encode_str(out, user_id);
+            encode_str(out, detail);
         }
         ServeError::Transport(detail) => {
-            w.u8(7);
-            w.str(detail);
+            out.push(7);
+            encode_str(out, detail);
         }
     }
 }
 
 /// Decodes a [`ServeError`] body.
-///
-/// # Errors
-/// [`WireError::Malformed`] on any byte-level mismatch; never panics.
-pub fn decode_error(r: &mut Reader<'_>) -> Result<ServeError, WireError> {
-    Ok(match r.u8("error tag")? {
+fn decode_error(d: &mut Decoder<'_>) -> Result<ServeError, WireError> {
+    Ok(match d.tag(8, "error tag")? {
         0 => ServeError::EmptyBatch,
-        1 => ServeError::DuplicateUser(r.str("user id")?),
-        2 => ServeError::UnknownUser(r.str("user id")?),
+        1 => ServeError::DuplicateUser(d.str("user id")?),
+        2 => ServeError::UnknownUser(d.str("user id")?),
         3 => {
-            let user_id = r.str("user id")?;
-            let error = match r.u8("session error tag")? {
+            let user_id = d.str("user id")?;
+            let error = match d.tag(3, "session error tag")? {
                 0 => SessionError::DimensionMismatch {
-                    expected: r.usize("expected dimension")?,
-                    found: r.usize("found dimension")?,
+                    expected: d.usize("expected dimension")?,
+                    found: d.usize("found dimension")?,
                 },
-                1 => SessionError::UnknownFeature(r.str("feature name")?),
-                2 => SessionError::Db(jit_db::DbError::Eval(r.str("db message")?)),
-                _ => {
-                    r.pos -= 1;
-                    return Err(r.err("session error tag"));
-                }
+                1 => SessionError::UnknownFeature(d.str("feature name")?),
+                _ => SessionError::Db(DbError::Eval(d.str("db message")?)),
             };
             ServeError::Session { user_id, error }
         }
         4 => {
-            let user_id = match r.u8("store user tag")? {
+            let user_id = match d.tag(2, "store user tag")? {
                 0 => None,
-                1 => Some(r.str("user id")?),
-                _ => {
-                    r.pos -= 1;
-                    return Err(r.err("store user tag"));
-                }
+                _ => Some(d.str("user id")?),
             };
-            let error = match r.u8("store error tag")? {
-                0 => StoreError::Db(jit_db::DbError::Eval(r.str("db message")?)),
+            let error = match d.tag(4, "store error tag")? {
+                0 => StoreError::Db(DbError::Eval(d.str("db message")?)),
                 1 => StoreError::SchemaMismatch {
-                    expected: r.digest("expected digest")?,
-                    found: r.digest("found digest")?,
+                    expected: decode_digest(d, "expected digest")?,
+                    found: decode_digest(d, "found digest")?,
                 },
                 2 => StoreError::Corrupt {
-                    user_id: r.str("corrupt user id")?,
-                    detail: r.str("corrupt detail")?,
+                    user_id: d.str("corrupt user id")?,
+                    detail: d.str("corrupt detail")?,
                 },
-                3 => StoreError::Unavailable(r.str("unavailable reason")?),
-                _ => {
-                    r.pos -= 1;
-                    return Err(r.err("store error tag"));
-                }
+                _ => StoreError::Unavailable(d.str("unavailable reason")?),
             };
             ServeError::Store { user_id, error }
         }
-        5 => ServeError::Overloaded { capacity: r.usize("queue capacity")? },
+        5 => ServeError::Overloaded { capacity: d.usize("queue capacity")? },
         6 => ServeError::Shard {
-            shard: r.usize("shard index")?,
-            user_id: r.str("user id")?,
-            detail: r.str("shard detail")?,
+            shard: d.usize("shard index")?,
+            user_id: d.str("user id")?,
+            detail: d.str("shard detail")?,
         },
-        7 => ServeError::Transport(r.str("transport detail")?),
-        _ => {
-            r.pos -= 1;
-            return Err(r.err("error tag"));
-        }
+        _ => ServeError::Transport(d.str("transport detail")?),
     })
 }
 
@@ -885,146 +933,130 @@ pub fn decode_error(r: &mut Reader<'_>) -> Result<ServeError, WireError> {
 // Train-spec codec (supervisor handshake)
 // ---------------------------------------------------------------------
 
-fn encode_train_spec(w: &mut Writer, spec: &TrainSpec) {
-    w.usize(spec.data.records_per_year);
-    w.usize(spec.data.n_years);
-    w.u64(spec.data.seed);
+fn encode_train_spec(out: &mut Vec<u8>, spec: &TrainSpec) {
+    encode_usize(out, spec.data.records_per_year);
+    encode_usize(out, spec.data.n_years);
+    encode_u64(out, spec.data.seed);
     let c = &spec.config;
-    w.usize(c.horizon);
-    w.u32(c.start_year);
-    w.u32(c.period_years);
+    encode_usize(out, c.horizon);
+    encode_u32(out, c.start_year);
+    encode_u32(out, c.period_years);
     let f = &c.future;
-    w.usize(f.horizon);
-    w.u8(match f.predictor {
+    encode_usize(out, f.horizon);
+    out.push(match f.predictor {
         FuturePredictor::Edd => 0,
         FuturePredictor::ParamExtrapolation => 1,
         FuturePredictor::Frozen => 2,
     });
-    w.usize(f.n_landmarks);
-    w.f64(f.var_lambda);
-    w.f64(f.herding.lambda);
-    w.f64(f.herding.min_weight_fraction);
-    w.usize(f.pool_slices);
-    w.usize(f.forest.n_trees);
-    w.usize(f.forest.max_depth);
-    w.f64(f.forest.min_leaf_weight);
+    encode_usize(out, f.n_landmarks);
+    encode_f64(out, f.var_lambda);
+    encode_f64(out, f.herding.lambda);
+    encode_f64(out, f.herding.min_weight_fraction);
+    encode_usize(out, f.pool_slices);
+    encode_usize(out, f.forest.n_trees);
+    encode_usize(out, f.forest.max_depth);
+    encode_f64(out, f.forest.min_leaf_weight);
     match f.forest.feature_subsample {
-        None => w.u8(0),
+        None => out.push(0),
         Some(k) => {
-            w.u8(1);
-            w.usize(k);
+            out.push(1);
+            encode_usize(out, k);
         }
     }
-    w.usize(f.forest.threads);
+    encode_usize(out, f.forest.threads);
     match f.threshold {
-        ThresholdPolicy::MaxF1 => w.u8(0),
+        ThresholdPolicy::MaxF1 => out.push(0),
         ThresholdPolicy::TargetPrecision(p) => {
-            w.u8(1);
-            w.f64(p);
+            out.push(1);
+            encode_f64(out, p);
         }
         ThresholdPolicy::Fixed(t) => {
-            w.u8(2);
-            w.f64(t);
+            out.push(2);
+            encode_f64(out, t);
         }
     }
-    w.f64(f.calibration_fraction);
-    w.u64(f.seed);
-    w.usize(f.threads);
+    encode_f64(out, f.calibration_fraction);
+    encode_u64(out, f.seed);
+    encode_usize(out, f.threads);
     let cand = &c.candidates;
-    w.usize(cand.beam_width);
-    w.usize(cand.max_iters);
-    w.usize(cand.top_k);
-    w.f64(cand.diversity_lambda);
-    w.u8(match cand.objective {
+    encode_usize(out, cand.beam_width);
+    encode_usize(out, cand.max_iters);
+    encode_usize(out, cand.top_k);
+    encode_f64(out, cand.diversity_lambda);
+    out.push(match cand.objective {
         Objective::MinDiff => 0,
         Objective::MinGap => 1,
         Objective::MaxConfidence => 2,
     });
-    w.usize(cand.max_moves_per_state);
-    w.usize(cand.early_stop_after);
-    w.bool(cand.refine);
-    w.u64(cand.seed);
-    w.bool(c.parallel_generators);
-    w.usize(c.threads);
-    w.usize(c.batch_threads);
-    w.u8(match c.batch_parallelism {
+    encode_usize(out, cand.max_moves_per_state);
+    encode_usize(out, cand.early_stop_after);
+    out.push(u8::from(cand.refine));
+    encode_u64(out, cand.seed);
+    out.push(u8::from(c.parallel_generators));
+    encode_usize(out, c.threads);
+    encode_usize(out, c.batch_threads);
+    out.push(match c.batch_parallelism {
         BatchParallelism::PerUser => 0,
         BatchParallelism::PerTimePoint => 1,
     });
 }
 
-fn decode_train_spec(r: &mut Reader<'_>) -> Result<TrainSpec, WireError> {
+fn decode_train_spec(d: &mut Decoder<'_>) -> Result<TrainSpec, WireError> {
     let data = DataSpec {
-        records_per_year: r.usize("records per year")?,
-        n_years: r.usize("year count")?,
-        seed: r.u64("data seed")?,
+        records_per_year: d.usize("records per year")?,
+        n_years: d.usize("year count")?,
+        seed: d.u64("data seed")?,
     };
-    let horizon = r.usize("horizon")?;
-    let start_year = r.u32("start year")?;
-    let period_years = r.u32("period years")?;
+    let horizon = d.usize("horizon")?;
+    let start_year = d.u32("start year")?;
+    let period_years = d.u32("period years")?;
     let future = FutureModelsParams {
-        horizon: r.usize("future horizon")?,
-        predictor: match r.u8("predictor tag")? {
+        horizon: d.usize("future horizon")?,
+        predictor: match d.tag(3, "predictor tag")? {
             0 => FuturePredictor::Edd,
             1 => FuturePredictor::ParamExtrapolation,
-            2 => FuturePredictor::Frozen,
-            _ => {
-                r.pos -= 1;
-                return Err(r.err("predictor tag"));
-            }
+            _ => FuturePredictor::Frozen,
         },
-        n_landmarks: r.usize("landmark count")?,
-        var_lambda: r.f64("var lambda")?,
+        n_landmarks: d.usize("landmark count")?,
+        var_lambda: d.f64("var lambda")?,
         herding: HerdingParams {
-            lambda: r.f64("herding lambda")?,
-            min_weight_fraction: r.f64("herding weight floor")?,
+            lambda: d.f64("herding lambda")?,
+            min_weight_fraction: d.f64("herding weight floor")?,
         },
-        pool_slices: r.usize("pool slices")?,
+        pool_slices: d.usize("pool slices")?,
         forest: RandomForestParams {
-            n_trees: r.usize("tree count")?,
-            max_depth: r.usize("max depth")?,
-            min_leaf_weight: r.f64("min leaf weight")?,
-            feature_subsample: match r.u8("subsample tag")? {
+            n_trees: d.usize("tree count")?,
+            max_depth: d.usize("max depth")?,
+            min_leaf_weight: d.f64("min leaf weight")?,
+            feature_subsample: match d.tag(2, "subsample tag")? {
                 0 => None,
-                1 => Some(r.usize("subsample size")?),
-                _ => {
-                    r.pos -= 1;
-                    return Err(r.err("subsample tag"));
-                }
+                _ => Some(d.usize("subsample size")?),
             },
-            threads: r.usize("forest threads")?,
+            threads: d.usize("forest threads")?,
         },
-        threshold: match r.u8("threshold tag")? {
+        threshold: match d.tag(3, "threshold tag")? {
             0 => ThresholdPolicy::MaxF1,
-            1 => ThresholdPolicy::TargetPrecision(r.f64("target precision")?),
-            2 => ThresholdPolicy::Fixed(r.f64("fixed threshold")?),
-            _ => {
-                r.pos -= 1;
-                return Err(r.err("threshold tag"));
-            }
+            1 => ThresholdPolicy::TargetPrecision(d.f64("target precision")?),
+            _ => ThresholdPolicy::Fixed(d.f64("fixed threshold")?),
         },
-        calibration_fraction: r.f64("calibration fraction")?,
-        seed: r.u64("future seed")?,
-        threads: r.usize("future threads")?,
+        calibration_fraction: d.f64("calibration fraction")?,
+        seed: d.u64("future seed")?,
+        threads: d.usize("future threads")?,
     };
     let candidates = CandidateParams {
-        beam_width: r.usize("beam width")?,
-        max_iters: r.usize("max iters")?,
-        top_k: r.usize("top k")?,
-        diversity_lambda: r.f64("diversity lambda")?,
-        objective: match r.u8("objective tag")? {
+        beam_width: d.usize("beam width")?,
+        max_iters: d.usize("max iters")?,
+        top_k: d.usize("top k")?,
+        diversity_lambda: d.f64("diversity lambda")?,
+        objective: match d.tag(3, "objective tag")? {
             0 => Objective::MinDiff,
             1 => Objective::MinGap,
-            2 => Objective::MaxConfidence,
-            _ => {
-                r.pos -= 1;
-                return Err(r.err("objective tag"));
-            }
+            _ => Objective::MaxConfidence,
         },
-        max_moves_per_state: r.usize("max moves")?,
-        early_stop_after: r.usize("early stop")?,
-        refine: r.bool("refine flag")?,
-        seed: r.u64("candidate seed")?,
+        max_moves_per_state: d.usize("max moves")?,
+        early_stop_after: d.usize("early stop")?,
+        refine: d.tag(2, "refine flag")? == 1,
+        seed: d.u64("candidate seed")?,
     };
     let config = AdminConfig {
         horizon,
@@ -1032,16 +1064,12 @@ fn decode_train_spec(r: &mut Reader<'_>) -> Result<TrainSpec, WireError> {
         period_years,
         future,
         candidates,
-        parallel_generators: r.bool("parallel generators flag")?,
-        threads: r.usize("threads")?,
-        batch_threads: r.usize("batch threads")?,
-        batch_parallelism: match r.u8("batch parallelism tag")? {
+        parallel_generators: d.tag(2, "parallel generators flag")? == 1,
+        threads: d.usize("threads")?,
+        batch_threads: d.usize("batch threads")?,
+        batch_parallelism: match d.tag(2, "batch parallelism tag")? {
             0 => BatchParallelism::PerUser,
-            1 => BatchParallelism::PerTimePoint,
-            _ => {
-                r.pos -= 1;
-                return Err(r.err("batch parallelism tag"));
-            }
+            _ => BatchParallelism::PerTimePoint,
         },
     };
     Ok(TrainSpec { data, config })
@@ -1114,42 +1142,42 @@ pub enum Message {
 
 /// Encodes a message into a frame body (message tag + payload).
 pub fn encode_message(message: &Message) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut out = Vec::new();
     match message {
         Message::Hello(spec) => {
-            w.u8(0);
-            encode_train_spec(&mut w, spec);
+            out.push(0);
+            encode_train_spec(&mut out, spec);
         }
         Message::Ready { schema_digest } => {
-            w.u8(1);
-            w.digest(*schema_digest);
+            out.push(1);
+            encode_digest(&mut out, *schema_digest);
         }
         Message::Serve { id, request } => {
-            w.u8(2);
-            w.u64(*id);
-            encode_request(&mut w, request);
+            out.push(2);
+            encode_u64(&mut out, *id);
+            encode_request(&mut out, request);
         }
         Message::Served { id, response } => {
-            w.u8(3);
-            w.u64(*id);
-            encode_response(&mut w, response);
+            out.push(3);
+            encode_u64(&mut out, *id);
+            encode_response(&mut out, response);
         }
         Message::Failed { id, error } => {
-            w.u8(4);
-            w.u64(*id);
-            encode_error(&mut w, error);
+            out.push(4);
+            encode_u64(&mut out, *id);
+            encode_error(&mut out, error);
         }
         Message::Ping { id } => {
-            w.u8(5);
-            w.u64(*id);
+            out.push(5);
+            encode_u64(&mut out, *id);
         }
         Message::Pong { id } => {
-            w.u8(6);
-            w.u64(*id);
+            out.push(6);
+            encode_u64(&mut out, *id);
         }
-        Message::Shutdown => w.u8(7),
+        Message::Shutdown => out.push(7),
     }
-    w.into_bytes()
+    out
 }
 
 /// Decodes a frame body into a [`Message`]. `schema` is required for
@@ -1164,51 +1192,100 @@ pub fn decode_message(
     body: &[u8],
     schema: Option<&FeatureSchema>,
 ) -> Result<Message, WireError> {
-    let mut r = Reader::new(body);
-    let need_schema = |r: &Reader<'_>| WireError::Malformed {
-        offset: r.pos,
-        expected: "handshake before serve traffic",
+    let mut d = Decoder::new(body);
+    let d = &mut d;
+    let need_schema = |d: &Decoder<'_>| {
+        schema.ok_or(malformed(d.offset(), "handshake before serve traffic"))
     };
-    let message = match r.u8("message tag")? {
-        0 => Message::Hello(decode_train_spec(&mut r)?),
-        1 => Message::Ready { schema_digest: r.digest("schema digest")? },
+    let message = match d.tag(8, "message tag")? {
+        0 => Message::Hello(decode_train_spec(d)?),
+        1 => Message::Ready { schema_digest: decode_digest(d, "schema digest")? },
         2 => {
-            let id = r.u64("request id")?;
-            let schema = schema.ok_or_else(|| need_schema(&r))?;
-            Message::Serve { id, request: decode_request(&mut r, schema)? }
+            let id = d.u64("request id")?;
+            Message::Serve { id, request: decode_request(d, need_schema(d)?)? }
         }
         3 => {
-            let id = r.u64("request id")?;
-            let schema = schema.ok_or_else(|| need_schema(&r))?;
-            Message::Served { id, response: decode_response(&mut r, schema)? }
+            let id = d.u64("request id")?;
+            Message::Served { id, response: decode_response(d, need_schema(d)?)? }
         }
-        4 => {
-            let id = r.u64("request id")?;
-            Message::Failed { id, error: decode_error(&mut r)? }
-        }
-        5 => Message::Ping { id: r.u64("ping id")? },
-        6 => Message::Pong { id: r.u64("pong id")? },
-        7 => Message::Shutdown,
-        _ => {
-            r.pos -= 1;
-            return Err(r.err("message tag"));
-        }
+        4 => Message::Failed { id: d.u64("request id")?, error: decode_error(d)? },
+        5 => Message::Ping { id: d.u64("ping id")? },
+        6 => Message::Pong { id: d.u64("pong id")? },
+        _ => Message::Shutdown,
     };
-    r.finish("end of message")?;
+    if d.remaining() > 0 {
+        return Err(malformed(d.offset(), "end of message"));
+    }
     Ok(message)
 }
 
 /// Convenience: the canonical encoded bytes of a [`WireResponse`] —
 /// what the determinism suite compares across serving tiers.
 pub fn response_bytes(response: &WireResponse) -> Vec<u8> {
-    let mut w = Writer::new();
-    encode_response(&mut w, response);
-    w.into_bytes()
+    let mut out = Vec::new();
+    encode_response(&mut out, response);
+    out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use jit_constraints::builder::{confidence, constant, diff, feature, gap};
+    use jit_data::LendingClubGenerator;
+
+    /// A request carrying every constraint tag, comparison op, variable,
+    /// scope, temporal spec and override kind, with floats a lossy codec
+    /// would damage: a NaN payload, `-0.0`, subnormals, `0.1 + 0.2`.
+    pub(crate) fn every_kind_request(schema: &FeatureSchema) -> UserRequest {
+        let mut request = UserRequest::new(LendingClubGenerator::john());
+        request
+            .constraints
+            .add(Constraint::True)
+            .add(feature("income").le(80_000.0))
+            .add_at(1, gap().lt(3.0))
+            .add_between(0, 2, diff().ge(-0.0))
+            .add(confidence().gt(0.75))
+            .add(feature("debt").eq(0.1 + 0.2))
+            .add(feature("income").ne(constant(f64::MIN_POSITIVE / 2.0)))
+            .add(
+                feature("income")
+                    .le(80_000.0)
+                    .and(gap().le(2.0).or(diff().le(1500.0)))
+                    .and(Constraint::Not(Box::new(feature("debt").eq(0.1 + 0.2)))),
+            )
+            .add(Constraint::Cmp {
+                lhs: LinExpr::feature("income")
+                    .plus(LinExpr::feature("debt").times(-0.25))
+                    .offset(1e-300),
+                op: CmpOp::Le,
+                rhs: LinExpr::constant(5e-324),
+            });
+        let mut update = TemporalUpdateFn::from_schema(schema);
+        update
+            .override_feature(
+                "debt",
+                Override::Trajectory(vec![
+                    1_500.0,
+                    -0.0,
+                    f64::from_bits(0x7ff8_0000_dead_beef),
+                ]),
+            )
+            .override_feature("income", Override::Spec(TemporalSpec::Static))
+            .override_feature(
+                "age",
+                Override::Spec(TemporalSpec::Linear { per_period: 0.5 }),
+            )
+            .override_feature(
+                "loan_amount",
+                Override::Spec(TemporalSpec::Compound { rate: 1e-3 }),
+            );
+        request.update_fn = Some(update);
+        request
+    }
+
+    fn bits(v: Vec<f64>) -> Vec<u64> {
+        v.into_iter().map(f64::to_bits).collect()
+    }
 
     #[test]
     fn frame_round_trip_and_caps() {
@@ -1303,5 +1380,175 @@ mod tests {
             decode_message(&long, None),
             Err(WireError::Malformed { expected: "end of message", .. })
         ));
+    }
+
+    #[test]
+    fn constraints_and_update_fns_round_trip_every_variant_bit_exactly() {
+        let schema = FeatureSchema::lending_club();
+        let request = every_kind_request(&schema);
+        let body = encode_message(&Message::Serve {
+            id: 9,
+            request: ServeRequest::new_user("u", request.clone()),
+        });
+        let Ok(Message::Serve { request: ServeRequest::NewUser(back), .. }) =
+            decode_message(&body, Some(&schema))
+        else {
+            panic!("a new-user serve decodes");
+        };
+        // The decoded request has the same structure, independently of
+        // the encoder (a decoder swapping two op tags fails here) ...
+        let (sent, got) =
+            (request.constraints.items(), back.request.constraints.items());
+        assert_eq!(sent.len(), got.len());
+        for (a, b) in sent.iter().zip(got) {
+            assert_eq!(a.scope, b.scope);
+            assert_eq!(a.constraint.to_string(), b.constraint.to_string());
+        }
+        for t in 0..4 {
+            let digest = |r: &UserRequest| {
+                r.constraints.compile_at(t, &schema).unwrap().content_digest()
+            };
+            assert_eq!(digest(&request), digest(&back.request), "t={t}");
+        }
+        // ... projects bit-identically ...
+        let (a, b) = (request.update_fn.as_ref(), back.request.update_fn.as_ref());
+        let (a, b) = (a.unwrap(), b.expect("the update fn survives"));
+        for t in 0..4 {
+            assert_eq!(
+                bits(a.project(&request.profile, t)),
+                bits(b.project(&request.profile, t))
+            );
+        }
+        // ... and re-encodes to the same bytes, every float bit included.
+        let again = encode_message(&Message::Serve {
+            id: 9,
+            request: ServeRequest::NewUser(back),
+        });
+        assert_eq!(again, body);
+    }
+
+    /// Decodes `bytes` as one constraint, demanding they are all used.
+    fn constraint_from(bytes: &[u8]) -> Result<Constraint, WireError> {
+        let mut d = Decoder::new(bytes);
+        let c = decode_constraint(&mut d, 0)?;
+        match d.remaining() {
+            0 => Ok(c),
+            _ => Err(malformed(d.offset(), "end of constraint")),
+        }
+    }
+
+    #[test]
+    fn constraint_decoding_rejects_bad_tags_and_truncation() {
+        let mut valid = Vec::new();
+        encode_constraint(
+            &mut valid,
+            &feature("income").le(1.0).or(confidence().gt(0.5)),
+        );
+        assert!(constraint_from(&valid).is_ok());
+        for cut in 0..valid.len() {
+            let err = constraint_from(&valid[..cut]).unwrap_err();
+            assert!(matches!(err, WireError::Malformed { .. }), "cut={cut}");
+        }
+        // One past the last valid tag of each kind: constraint, op and
+        // variable.
+        let bad_constraint = [5];
+        let bad_op = [1, 6];
+        let mut bad_variable = vec![1, 0];
+        encode_f64(&mut bad_variable, 0.0);
+        encode_u32(&mut bad_variable, 1);
+        bad_variable.push(4);
+        for (bytes, expected) in [
+            (&bad_constraint[..], "constraint tag"),
+            (&bad_op[..], "comparison op"),
+            (&bad_variable[..], "variable tag"),
+        ] {
+            let err = constraint_from(bytes).unwrap_err();
+            assert!(
+                matches!(err, WireError::Malformed { expected: e, .. } if e == expected),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn update_fn_decoding_rejects_wrong_dimension_and_bad_tags() {
+        let schema = FeatureSchema::lending_club();
+        let decode = |bytes: &[u8]| decode_update_fn(&mut Decoder::new(bytes), &schema);
+        assert!(decode(&[0]).unwrap().is_none());
+        // An update fn built for another schema dimension.
+        let narrow = FeatureSchema::new(schema.features()[..2].to_vec());
+        let mut bytes = Vec::new();
+        encode_update_fn(&mut bytes, Some(&TemporalUpdateFn::from_schema(&narrow)));
+        let err = decode(&bytes).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WireError::Malformed { expected: "schema-dimension update fn", .. }
+            ),
+            "{err}"
+        );
+        // The same through a whole frame.
+        let mut request = UserRequest::new(LendingClubGenerator::john());
+        request.update_fn = Some(TemporalUpdateFn::from_schema(&narrow));
+        let body = encode_message(&Message::Serve {
+            id: 1,
+            request: ServeRequest::new_user("u", request),
+        });
+        let err = decode_message(&body, Some(&schema)).unwrap_err();
+        assert!(matches!(err, WireError::Malformed { .. }), "{err}");
+        // Bad tags: update fn, temporal spec, override.
+        let mut valid = Vec::new();
+        encode_update_fn(&mut valid, every_kind_request(&schema).update_fn.as_ref());
+        assert!(decode(&valid).is_ok());
+        let bad_spec = [1, 1, 0, 0, 0, 3];
+        let bad_override = [1, 1, 0, 0, 0, 0, 3];
+        for (bytes, expected) in [
+            (&[2][..], "update-fn tag"),
+            (&bad_spec[..], "temporal spec tag"),
+            (&bad_override[..], "override tag"),
+        ] {
+            let err = decode(bytes).unwrap_err();
+            assert!(
+                matches!(err, WireError::Malformed { expected: e, .. } if e == expected),
+                "{err}"
+            );
+        }
+        for cut in 0..valid.len() {
+            assert!(decode(&valid[..cut]).is_err(), "cut={cut}");
+        }
+    }
+
+    #[test]
+    fn nesting_check_agrees_with_the_decoder_cap() {
+        let nested = |depth: usize| {
+            let mut c = feature("income").le(1.0);
+            for level in 0..depth {
+                c = match level % 3 {
+                    0 => Constraint::Not(Box::new(c)),
+                    1 => Constraint::And(vec![Constraint::True, c]),
+                    _ => Constraint::Or(vec![c]),
+                };
+            }
+            let mut request = UserRequest::new(LendingClubGenerator::john());
+            request.constraints.add(Constraint::True).add_at(1, c);
+            request
+        };
+        for depth in [
+            0,
+            1,
+            MAX_CONSTRAINT_DEPTH - 1,
+            MAX_CONSTRAINT_DEPTH,
+            MAX_CONSTRAINT_DEPTH + 1,
+        ] {
+            let request = nested(depth);
+            let mut bytes = Vec::new();
+            encode_user_request(&mut bytes, &request);
+            let decoded = decode_user_request(
+                &mut Decoder::new(&bytes),
+                &FeatureSchema::lending_club(),
+            );
+            assert_eq!(nests_within_cap(&request), decoded.is_ok(), "depth={depth}");
+            assert_eq!(nests_within_cap(&request), depth <= MAX_CONSTRAINT_DEPTH);
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! snapshot — under no drift and partial drift, for 1/2/8 worker
 //! threads and both batch policies.
 //!
-//! This is the end-to-end guarantee the store stack (lossless jit-db
-//! float literals, digest hex, the exact constraint/update-fn codec)
-//! exists to provide; any lossy byte anywhere breaks fingerprint
+//! This is the end-to-end guarantee the store stack (one versioned
+//! binary snapshot blob per user, every float as its raw bits) exists
+//! to provide; any lossy byte anywhere breaks fingerprint
 //! equality and shows up here as a spurious recompute or a diverging
 //! candidate bit pattern.
 

@@ -285,6 +285,24 @@ fn db_store_rejects_snapshots_from_a_different_schema() {
     assert!(matches!(err, StoreError::SchemaMismatch { .. }), "{err:?}");
 }
 
+/// The stored snapshot blob for `id`, read through the engine.
+fn stored_blob(db: &jit_db::Database, id: &str) -> Vec<u8> {
+    let load =
+        db.prepare("SELECT snapshot FROM jit_snapshots WHERE user_id = ?").unwrap();
+    let rs = db.execute_prepared(&load, &[jit_db::Value::from(id)]).unwrap();
+    let [jit_db::Value::Blob(blob)] = rs.rows[0].as_slice() else {
+        panic!("one blob column, got {:?}", rs.rows[0]);
+    };
+    blob.clone()
+}
+
+/// Overwrites `id`'s stored blob in place, bypassing the store.
+fn overwrite_blob(db: &jit_db::Database, id: &str, blob: Vec<u8>) {
+    let id = jit_db::Value::from(id);
+    db.delete_eq("jit_snapshots", "user_id", &id).unwrap();
+    db.insert_row("jit_snapshots", vec![id, jit_db::Value::Blob(blob)]).unwrap();
+}
+
 #[test]
 fn db_store_reports_corrupt_rows_as_typed_errors() {
     let (_, schema) = fixture();
@@ -292,11 +310,25 @@ fn db_store_reports_corrupt_rows_as_typed_errors() {
     let store = DbSnapshotStore::open(Arc::clone(&db), schema).unwrap();
     let service = JitService::with_shared(shared_system(), Arc::new(store));
     service.serve(ServeRequest::new_user("u", john_member("u").request)).unwrap();
+    let blob = stored_blob(&db, "u");
 
-    // Vandalize the persisted rows: losing the temporal inputs must
+    // Vandalize the persisted blob: a blob cut short at any byte must
     // surface as StoreError::Corrupt on load, never a shape-invalid
     // snapshot that mis-serves downstream.
-    db.execute("DELETE FROM jit_snapshot_inputs WHERE user_id = 'u'").unwrap();
+    for cut in 0..blob.len() {
+        overwrite_blob(&db, "u", blob[..cut].to_vec());
+        let err = service.store().load("u").unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt { user_id, .. } if user_id == "u"),
+            "cut at {cut}: {err:?}"
+        );
+    }
+
+    // A format version this build does not read is refused outright,
+    // through the serving path too.
+    let mut flipped = blob.clone();
+    flipped[0] ^= 0xff;
+    overwrite_blob(&db, "u", flipped);
     let err = service.serve(ServeRequest::refresh(["u"])).unwrap_err();
     assert!(
         matches!(
@@ -306,6 +338,184 @@ fn db_store_reports_corrupt_rows_as_typed_errors() {
         ),
         "{err:?}"
     );
+    overwrite_blob(&db, "u", blob);
+    assert!(service.store().load("u").unwrap().is_some(), "the intact blob loads");
+
+    // A database written in the older seven-table layout still has a
+    // four-column `jit_snapshots`: opening over it fails typed, on both
+    // durability tiers.
+    const OLD_LAYOUT: &str = "CREATE TABLE jit_snapshots \
+        (user_id TEXT, schema_digest TEXT, horizon INTEGER, update_fn TEXT)";
+    let old = Arc::new(jit_db::Database::new());
+    old.execute(OLD_LAYOUT).unwrap();
+    old.execute("INSERT INTO jit_snapshots VALUES ('u', '00', 2, '-')").unwrap();
+    let err = DbSnapshotStore::open(old, schema).unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+    let (wal, _) = jit_db::DurableDatabase::open(
+        Arc::new(jit_db::MemFile::new()),
+        jit_db::WalConfig::default(),
+    )
+    .unwrap();
+    wal.execute(OLD_LAYOUT).unwrap();
+    let err = DbSnapshotStore::open_durable(Arc::new(wal), schema).unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+}
+
+/// A request whose one constraint is `depth` `Not`s around `True`.
+fn nested_request(depth: usize) -> UserRequest {
+    let mut constraint = jit_constraints::Constraint::True;
+    for _ in 0..depth {
+        constraint = jit_constraints::Constraint::Not(Box::new(constraint));
+    }
+    let mut request = UserRequest::new(LendingClubGenerator::john());
+    request.constraints.add(constraint);
+    request
+}
+
+#[test]
+fn requests_nested_past_the_wire_cap_are_refused_on_every_tier() {
+    let (_, schema) = fixture();
+    let cap = jit_service::wire::MAX_CONSTRAINT_DEPTH;
+    let memory = fresh_service();
+    let db = JitService::with_shared(
+        shared_system(),
+        Arc::new(DbSnapshotStore::in_new_database(schema).unwrap()),
+    );
+    let sharded = ShardedService::from_shared(shared_system(), 2, 0, |_| {
+        Arc::new(MemorySnapshotStore::new())
+    });
+    let on_every_tier = |request: ServeRequest| {
+        [
+            memory.serve(request.clone()).map(|_| ()),
+            db.serve(request.clone()).map(|_| ()),
+            sharded.serve(request).map(|_| ()),
+        ]
+    };
+    // At the cap: served, stored, and replayed from the store.
+    for result in on_every_tier(ServeRequest::new_user("edge", nested_request(cap))) {
+        result.unwrap();
+    }
+    let prior =
+        db.serve(ServeRequest::refresh(["edge"])).unwrap().users[0].session.snapshot();
+    // Past the cap, in a new user's, a returning user's or a prior
+    // snapshot's request: refused before any search, on every tier.
+    let deep = nested_request(cap + 1);
+    let mut deep_prior = prior.clone();
+    deep_prior.request = deep.clone();
+    for request in [
+        ServeRequest::batch([
+            john_member("ok"),
+            CohortMember::new("deep", deep.clone()),
+        ]),
+        ServeRequest::returning([ReturningMember::new(
+            "deep",
+            jit_core::ReturningUser { request: deep, prior },
+        )]),
+        ServeRequest::returning([ReturningMember::new(
+            "deep",
+            jit_core::ReturningUser::unchanged(deep_prior),
+        )]),
+    ] {
+        for result in on_every_tier(request) {
+            let err = result.unwrap_err();
+            assert!(
+                matches!(&err, ServeError::Transport(detail) if detail.contains("\"deep\"")),
+                "{err:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn db_store_refuses_to_save_what_it_could_not_load() {
+    let (_, schema) = fixture();
+    let cap = jit_service::wire::MAX_CONSTRAINT_DEPTH;
+    let snapshot = |depth: usize| {
+        jit_core::SessionSnapshot::from_parts(
+            nested_request(depth),
+            vec![LendingClubGenerator::john(); 3],
+            vec![],
+            vec![None; 3],
+        )
+        .unwrap()
+    };
+    let db = Arc::new(jit_db::Database::new());
+    let store = DbSnapshotStore::open(Arc::clone(&db), schema).unwrap();
+    store.save("edge", &snapshot(cap)).unwrap();
+    assert!(store.load("edge").unwrap().is_some());
+    let err = store.save("deep", &snapshot(cap + 1)).unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Corrupt { user_id, .. } if user_id == "deep"),
+        "{err:?}"
+    );
+    assert!(store.load("deep").unwrap().is_none(), "nothing was written");
+
+    // A blob nested past the cap by other hands fails the load typed:
+    // stored bytes go through the wire decoder and its cap.
+    let mut blob = stored_blob(&db, "edge");
+    let not_run = blob.windows(cap).position(|w| w.iter().all(|&b| b == 4)).unwrap();
+    blob.insert(not_run, 4);
+    overwrite_blob(&db, "edge", blob);
+    let err = store.load("edge").unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+}
+
+#[test]
+fn db_store_saves_are_atomic_under_concurrent_loads() {
+    let (_, schema) = fixture();
+    // Two schema-shaped snapshots that differ in every part.
+    let snapshot = |v: f64| {
+        jit_core::SessionSnapshot::from_parts(
+            UserRequest::new(vec![v; schema.dim()]),
+            vec![vec![v; schema.dim()]; 3],
+            vec![],
+            vec![Some(jit_math::Digest([v.to_bits(), 7])); 3],
+        )
+        .unwrap()
+    };
+    let pair = [snapshot(1.5), snapshot(-0.0)];
+    // Exact identity through the canonical wire bytes.
+    let bytes = |s: &jit_core::SessionSnapshot| {
+        jit_service::wire::response_bytes(&jit_service::WireResponse {
+            users: vec![jit_service::wire::WireServedUser {
+                user_id: String::new(),
+                snapshot: s.clone(),
+                provenance: None,
+            }],
+            report: Default::default(),
+        })
+    };
+    let expected = [bytes(&pair[0]), bytes(&pair[1])];
+    let (wal, _) = jit_db::DurableDatabase::open(
+        Arc::new(jit_db::MemFile::new()),
+        jit_db::WalConfig::default(),
+    )
+    .unwrap();
+    let stores = [
+        DbSnapshotStore::in_new_database(schema).unwrap(),
+        DbSnapshotStore::open_durable(Arc::new(wal), schema).unwrap(),
+    ];
+    for store in &stores {
+        store.save("u", &pair[0]).unwrap();
+        std::thread::scope(|scope| {
+            for writer in 0..2 {
+                let pair = &pair;
+                scope.spawn(move || {
+                    for i in 0..1000 {
+                        store.save("u", &pair[(i + writer) % 2]).unwrap();
+                    }
+                });
+            }
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..1000 {
+                        let loaded = store.load("u").unwrap().expect("never absent");
+                        assert!(expected.contains(&bytes(&loaded)), "torn snapshot");
+                    }
+                });
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------

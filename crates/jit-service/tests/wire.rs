@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use jit_core::UserRequest;
-use jit_data::FeatureSchema;
+use jit_data::{FeatureSchema, LendingClubGenerator};
 use jit_service::wire::{self, Message, WireError};
 use jit_service::{CohortMember, ServeError, ServeRequest};
 use proptest::prelude::*;
@@ -61,7 +61,7 @@ impl Strategy for AdversarialId {
             &['a', 'Z', '0', '"', '\'', '\\', '\n', '\t', '\0', ' ', 'é', '漢', '🦀'];
         let n = rng.i128_in(0, 24) as usize;
         (0..n)
-            .map(|_| PALETTE[rng.i128_in(0, PALETTE.len() as i128 - 1) as usize])
+            .map(|_| PALETTE[rng.i128_in(0, PALETTE.len() as i128) as usize])
             .collect()
     }
 }
@@ -92,7 +92,7 @@ proptest! {
         let id_b = format!("{id_b}#b");
         let mut request_b = UserRequest::new(profile_b.clone());
         // Constraint constants with arbitrary bit patterns must survive
-        // the trip exactly (the text codec inside the wire codec).
+        // the trip exactly (constraints are encoded inline, as bits).
         let cap = f64::from_bits(cap_bits);
         if cap.is_finite() {
             request_b
@@ -218,6 +218,38 @@ fn oversized_write_and_read_are_refused_before_any_allocation() {
     claim.extend_from_slice(&u32::MAX.to_le_bytes());
     let err = wire::read_frame(&mut claim.as_slice(), 1 << 20).unwrap_err();
     assert!(matches!(err, WireError::Oversized { .. }));
+}
+
+#[test]
+fn constraints_nested_past_the_cap_fail_typed_instead_of_overflowing_the_stack() {
+    let frame = |depth: usize| {
+        let mut constraint = jit_constraints::Constraint::True;
+        for _ in 0..depth {
+            constraint = jit_constraints::Constraint::Not(Box::new(constraint));
+        }
+        let mut request = UserRequest::new(LendingClubGenerator::john());
+        request.constraints.add(constraint);
+        wire::encode_message(&Message::Serve {
+            id: 1,
+            request: ServeRequest::new_user("deep", request),
+        })
+    };
+    let at_cap = frame(wire::MAX_CONSTRAINT_DEPTH);
+    let past_cap = frame(wire::MAX_CONSTRAINT_DEPTH + 1);
+    // A few kilobytes, far under the frame cap.
+    let hostile = frame(6_000);
+    assert!(hostile.len() < 8 << 10, "{} bytes", hostile.len());
+    // Decode where a server does: on a spawned, default-stack thread.
+    std::thread::spawn(move || {
+        let schema = FeatureSchema::lending_club();
+        assert!(wire::decode_message(&at_cap, Some(&schema)).is_ok());
+        for body in [past_cap, hostile] {
+            let err = wire::decode_message(&body, Some(&schema)).unwrap_err();
+            assert!(matches!(err, WireError::Malformed { .. }), "{err}");
+        }
+    })
+    .join()
+    .expect("decoding never overflows the stack");
 }
 
 #[test]
