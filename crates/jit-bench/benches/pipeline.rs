@@ -9,9 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jit_bench::{bench_config, bench_generator, john_session, year_slices};
-use jit_constraints::ConstraintSet;
 use jit_core::JustInTime;
-use jit_data::LendingClubGenerator;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -69,14 +67,10 @@ fn bench_parallel_generators(c: &mut Criterion) {
             .expect("train");
         let parallel = JustInTime::train(bench_config(horizon, true), &schema, &slices)
             .expect("train");
-        let john = LendingClubGenerator::john();
         let time_it = |system: &JustInTime| {
             let start = Instant::now();
             for _ in 0..3 {
-                let s = system
-                    .session(&john, &ConstraintSet::new(), None)
-                    .expect("session");
-                black_box(s.candidates().len());
+                black_box(john_session(system).candidates().len());
             }
             start.elapsed().as_secs_f64() * 1000.0 / 3.0
         };

@@ -21,8 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use jit_bench::{bench_config, year_slices};
-use jit_constraints::ConstraintSet;
-use jit_core::JustInTime;
+use jit_core::{JustInTime, UserRequest};
 
 use std::hint::black_box;
 
@@ -85,10 +84,11 @@ fn bench_temporal_vs_static(c: &mut Criterion) {
             "SELECT * FROM candidates WHERE time = 2 ORDER BY p DESC LIMIT 1",
         ];
         for profile in &applicants {
-            let Ok(session) = system.session(profile, &ConstraintSet::new(), None)
-            else {
+            let job = UserRequest::new(profile.clone()).into();
+            let Ok(sessions) = system.serve(&[job], None) else {
                 continue;
             };
+            let session = &sessions[0];
             total += 1;
             let update = system.default_update_fn();
             let projected = update.project(profile, replay_t);

@@ -8,7 +8,7 @@
 //! diff (`reserve`, no-drift and 25%-drift cohorts), the TCP serving
 //! tier under a closed-loop load burst (`net`) and the synthetic
 //! population workloads — a 1000-user cohort batch-served through the
-//! sharded tier (shared cell cache vs the legacy per-user-cache path),
+//! sharded tier (shared cell cache vs no shared cache),
 //! the recourse-invalidation refresh/classify loop and the
 //! retrain → refresh-ahead → returning-user pass (`synth`) — and prints
 //! one JSON object to stdout, so snapshots are reproducible with:
@@ -43,21 +43,21 @@
 //! compares the fresh snapshot against the `"timings_ms"` block of the
 //! given baseline file and **exits non-zero** when any benchmark present
 //! in both regresses past `tolerance` (fresh `min` > baseline `min` ×
-//! tolerance). `min`-of-reps is compared because it is the
-//! noise-robust statistic on shared CI runners; baselines below the
-//! `--floor` (default 1 ms) are reported but not gated, since sub-ms
-//! timings are timer-noise dominated across runner generations. The
-//! report goes to stderr so stdout stays valid snapshot JSON for
-//! artifact upload.
+//! tolerance), or when a baseline entry is missing from the fresh run.
+//! `min`-of-reps is compared because it is the noise-robust statistic
+//! on shared CI runners; baselines below the `--floor` (default 1 ms)
+//! are reported but not gated, since sub-ms timings are timer-noise
+//! dominated across runner generations. The report goes to stderr so
+//! stdout stays valid snapshot JSON for artifact upload.
 
 // CLI tool: top-level unwraps abort with a message, which is the intended UX.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use jit_bench::{
-    bench_config, bench_generator, drifted_returning_cohort, john_session,
+    bench_config, bench_generator, cold_jobs, drifted_returning_cohort, john_session,
     returning_cohort, serving_cohort, year_slices,
 };
-use jit_core::{JustInTime, TimePointServe, UserRequest};
+use jit_core::{Job, JustInTime, TimePointServe, UserRequest};
 use jit_data::scenario::ScenarioSpec;
 use jit_data::{LendingClubGenerator, SyntheticGenerator};
 use jit_db::{DurableDatabase, MemFile, WalConfig};
@@ -266,8 +266,8 @@ fn scan_number_field(obj: &str, field: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-/// Compares fresh entries against a baseline; returns the number of
-/// regressions past tolerance and prints the gate report to stderr.
+/// Compares fresh entries against a baseline file; returns the number of
+/// gate failures and prints the gate report to stderr.
 fn check_regressions(
     entries: &[(String, f64, f64)],
     baseline_path: &str,
@@ -286,12 +286,24 @@ fn check_regressions(
         eprintln!("perf gate: no \"timings_ms\" entries found in {baseline_path}");
         return 1;
     }
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
     eprintln!(
         "perf gate: baseline {baseline_path}, tolerance {tolerance}x, \
          floor {floor_ms} ms"
     );
+    gate(entries, &baseline, tolerance, floor_ms)
+}
+
+/// The gate itself: one failure per fresh entry that regressed past
+/// `tolerance` and per baseline entry the fresh run no longer produces
+/// (a renamed or dropped workload must not leave the gate silently).
+fn gate(
+    entries: &[(String, f64, f64)],
+    baseline: &[(String, f64)],
+    tolerance: f64,
+    floor_ms: f64,
+) -> usize {
+    let mut regressions = 0usize;
+    let mut compared = 0usize;
     for (name, _, fresh_min) in entries {
         let Some((_, base_min)) =
             baseline.iter().find(|(base_name, _)| base_name == name)
@@ -321,14 +333,22 @@ fn check_regressions(
              ({ratio:.2}x)"
         );
     }
+    let mut missing = 0usize;
+    for (name, _) in baseline {
+        if !entries.iter().any(|(fresh_name, _, _)| fresh_name == name) {
+            missing += 1;
+            eprintln!("  [missing] {name} (in baseline, not produced by this run)");
+        }
+    }
     if compared == 0 {
         eprintln!("perf gate: no overlapping benchmarks — gate is vacuous, failing");
         return 1;
     }
     eprintln!(
-        "perf gate: {compared} compared, {regressions} regressed past {tolerance}x"
+        "perf gate: {compared} compared, {regressions} regressed past {tolerance}x, \
+         {missing} missing"
     );
-    regressions
+    regressions + missing
 }
 
 /// Prints the snapshot JSON document to stdout.
@@ -375,7 +395,6 @@ fn run_sweep(scale: Scale, thread_counts: &[usize]) {
     for &t in thread_counts {
         let mut config = bench_config(h, true);
         config.threads = t;
-        config.batch_threads = t;
 
         let (mean, min) = time_ms(scale.reps, || {
             let system = JustInTime::train(config.clone(), &schema, black_box(&slices))
@@ -387,9 +406,9 @@ fn run_sweep(scale: Scale, thread_counts: &[usize]) {
         let system = JustInTime::train(config.clone(), &schema, &slices)
             .expect("sweep training must succeed");
         let n = 2 * scale.batch_users;
-        let cohort = serving_cohort(&system, &gen, n);
+        let jobs = cold_jobs(&serving_cohort(&system, &gen, n));
         let (mean, min) = time_ms(scale.reps, || {
-            let sessions = system.serve_batch(black_box(&cohort)).expect("sweep batch");
+            let sessions = system.serve(black_box(&jobs), None).expect("sweep batch");
             black_box(sessions.iter().map(|s| s.candidates().len()).sum::<usize>());
         });
         entries.push((format!("sweep/batch_sessions_{n}xT{h}@t{t}"), mean, min));
@@ -475,20 +494,20 @@ fn main() {
 
     // --- serve: serial sessions vs the amortized batch layer -----------
     let cohort = serving_cohort(system, &gen, scale.batch_users);
+    let jobs = cold_jobs(&cohort);
     let n = cohort.len();
     let (mean, min) = time_ms(scale.reps, || {
         let mut total = 0usize;
-        for request in &cohort {
-            let session = system
-                .session(&request.profile, &request.constraints, None)
-                .expect("session");
-            total += session.candidates().len();
+        for job in &jobs {
+            let sessions =
+                system.serve(std::slice::from_ref(job), None).expect("session");
+            total += sessions[0].candidates().len();
         }
         black_box(total);
     });
     entries.push((format!("serve/serial_sessions_{n}xT{}", scale.horizon), mean, min));
     let (mean, min) = time_ms(scale.reps, || {
-        let sessions = system.serve_batch(black_box(&cohort)).expect("batch");
+        let sessions = system.serve(black_box(&jobs), None).expect("batch");
         black_box(sessions.iter().map(|s| s.candidates().len()).sum::<usize>());
     });
     entries.push((format!("serve/batch_sessions_{n}xT{}", scale.horizon), mean, min));
@@ -499,13 +518,13 @@ fn main() {
     // profile, so a quarter of the cohort's (user, t) pairs recompute.
     let no_drift = returning_cohort(system, &cohort);
     let (mean, min) = time_ms(scale.reps, || {
-        let sessions = system.reserve_batch(black_box(&no_drift)).expect("reserve");
+        let sessions = system.serve(black_box(&no_drift), None).expect("reserve");
         black_box(sessions.iter().map(|s| s.candidates().len()).sum::<usize>());
     });
     entries.push((format!("reserve/no_drift_{n}xT{}", scale.horizon), mean, min));
     let drifted = drifted_returning_cohort(system, &cohort);
     let (mean, min) = time_ms(scale.reps, || {
-        let sessions = system.reserve_batch(black_box(&drifted)).expect("reserve");
+        let sessions = system.serve(black_box(&drifted), None).expect("reserve");
         black_box(sessions.iter().map(|s| s.candidates().len()).sum::<usize>());
     });
     entries.push((format!("reserve/drift25_{n}xT{}", scale.horizon), mean, min));
@@ -640,17 +659,16 @@ fn main() {
         .map(|u| CohortMember::new(&u.user_id, UserRequest::new(u.profile.clone())))
         .collect();
     let ids: Vec<String> = members.iter().map(|m| m.user_id.clone()).collect();
-    let requests: Vec<UserRequest> =
-        members.iter().map(|m| m.request.clone()).collect();
+    let jobs: Vec<Job> = members.iter().map(|m| m.request.clone().into()).collect();
 
     // Setup (untimed): the served insight fingerprints, the snapshots to
     // seed each rep's store with, and the one-drift-step-later system.
-    // The setup serve deliberately takes the legacy per-user-cache path:
-    // a shard-level cell cache populated here would hold ~1k users' cells
-    // through every timed section below and distort them (this one-core
-    // tier is acutely sensitive to resident heap).
+    // The setup serve deliberately runs without a shared cell cache: one
+    // populated here would hold ~1k users' cells through every timed
+    // section below and distort them (this one-core tier is acutely
+    // sensitive to resident heap).
     let (prior, seeded) = {
-        let sessions = system_a.serve_batch(&requests).expect("synth baseline serve");
+        let sessions = system_a.serve(&jobs, None).expect("synth baseline serve");
         let prior: HashMap<String, Vec<_>> = ids
             .iter()
             .zip(&sessions)
@@ -762,13 +780,13 @@ fn main() {
     });
     entries.push((format!("synth/serve_1kxT{}", scale.horizon), mean, min));
 
-    // The same cohort and model through the legacy per-user-cache batch
-    // path (no cross-user or cross-batch cell sharing) — the "before"
-    // column of the shared-cache speedup that synth/serve_1k measures
-    // "after".
+    // The same cohort and model through `JustInTime::serve` without a
+    // shared cell cache (no cross-user or cross-batch cell sharing) — the
+    // "before" column of the shared-cache speedup that synth/serve_1k
+    // measures "after".
     let (mean, min) = time_ms(scale.reps, || {
         let sessions =
-            system_serve.serve_batch(black_box(&requests)).expect("unshared batch");
+            system_serve.serve(black_box(&jobs), None).expect("unshared batch");
         black_box(sessions.iter().map(|s| s.candidates().len()).sum::<usize>());
     });
     entries.push((format!("synth/serve_unshared_1kxT{}", scale.horizon), mean, min));
@@ -783,5 +801,36 @@ fn main() {
         if regressions > 0 {
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gate;
+
+    fn entry(name: &str, min: f64) -> (String, f64, f64) {
+        (name.to_string(), min, min)
+    }
+
+    fn base(name: &str, min: f64) -> (String, f64) {
+        (name.to_string(), min)
+    }
+
+    #[test]
+    fn baseline_entries_missing_from_the_run_fail_the_gate() {
+        let baseline = [base("a/x", 10.0), base("a/y", 10.0), base("a/tiny", 0.1)];
+        let all = [entry("a/x", 11.0), entry("a/y", 9.0), entry("a/tiny", 5.0)];
+        assert_eq!(gate(&all, &baseline, 1.25, 1.0), 0);
+        // A regression past tolerance fails once.
+        let slow = [entry("a/x", 13.0), entry("a/y", 9.0), entry("a/tiny", 0.1)];
+        assert_eq!(gate(&slow, &baseline, 1.25, 1.0), 1);
+        // A renamed entry fails as missing, even below the floor; a new
+        // entry the baseline lacks does not fail.
+        let renamed = [entry("a/x", 10.0), entry("a/y", 10.0), entry("a/tiny2", 0.1)];
+        assert_eq!(gate(&renamed, &baseline, 1.25, 1.0), 1);
+        let dropped = [entry("a/x", 10.0)];
+        assert_eq!(gate(&dropped, &baseline, 1.25, 1.0), 2);
+        // Nothing comparable is a failure, not a pass.
+        assert_eq!(gate(&[entry("b/z", 1.0)], &baseline, 1.25, 1.0), 1);
     }
 }

@@ -10,8 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
-use jit_constraints::ConstraintSet;
-use jit_core::{AdminConfig, CandidateParams, JustInTime};
+use jit_core::{AdminConfig, CandidateParams, Job, JustInTime, UserRequest};
 use jit_data::{FeatureSchema, LendingClubGenerator, LendingClubParams};
 use jit_ml::{Dataset, RandomForestParams};
 use jit_temporal::future::FutureModelsParams;
@@ -33,7 +32,8 @@ pub fn year_slices(gen: &LendingClubGenerator) -> Vec<Dataset> {
         .collect()
 }
 
-/// Bench-scale admin config.
+/// Bench-scale admin config; `parallel: false` trains and serves on one
+/// thread.
 pub fn bench_config(horizon: usize, parallel: bool) -> AdminConfig {
     AdminConfig {
         horizon,
@@ -51,9 +51,7 @@ pub fn bench_config(horizon: usize, parallel: bool) -> AdminConfig {
             top_k: 6,
             ..Default::default()
         },
-        parallel_generators: parallel,
-        threads: 0,
-        ..Default::default()
+        threads: if parallel { 0 } else { 1 },
     }
 }
 
@@ -71,41 +69,42 @@ pub fn trained_system(
     (system, schema)
 }
 
-/// Opens a John session on a trained system.
+/// Serves John alone on a trained system.
 pub fn john_session(system: &JustInTime) -> jit_core::UserSession<'_> {
-    system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .expect("bench session must open")
+    let john = Job::from(UserRequest::new(LendingClubGenerator::john()));
+    system.serve(&[john], None).expect("bench session must open").remove(0)
 }
 
-/// A serving batch of `n` [`jit_core::UserRequest`]s over rejected
-/// applicants from the system's present year (falling back to John
-/// clones when the generator yields too few rejections at bench scale).
+/// A serving batch of `n` [`UserRequest`]s over rejected applicants from
+/// the system's present year (falling back to John clones when the
+/// generator yields too few rejections at bench scale).
 pub fn serving_cohort(
     system: &JustInTime,
     gen: &LendingClubGenerator,
     n: usize,
-) -> Vec<jit_core::UserRequest> {
+) -> Vec<UserRequest> {
     let year = system.config().start_year.saturating_sub(1).max(2007);
     let mut profiles = rejected_cohort(gen, year, n);
     while profiles.len() < n {
         profiles.push(LendingClubGenerator::john());
     }
-    profiles.into_iter().map(jit_core::UserRequest::new).collect()
+    profiles.into_iter().map(UserRequest::new).collect()
+}
+
+/// `cohort` as first-visit [`Job`]s.
+pub fn cold_jobs(cohort: &[UserRequest]) -> Vec<Job> {
+    cohort.iter().cloned().map(Job::from).collect()
 }
 
 /// First-visit snapshots for a returning-user workload: serves `cohort`
 /// once and wraps each session's [`jit_core::SessionSnapshot`] as an
-/// unchanged [`jit_core::ReturningUser`] (the no-drift refresh).
-pub fn returning_cohort(
-    system: &JustInTime,
-    cohort: &[jit_core::UserRequest],
-) -> Vec<jit_core::ReturningUser> {
+/// unchanged returning [`Job`] (the no-drift refresh).
+pub fn returning_cohort(system: &JustInTime, cohort: &[UserRequest]) -> Vec<Job> {
     system
-        .serve_batch(cohort)
+        .serve(&cold_jobs(cohort), None)
         .expect("bench first visit must serve")
         .iter()
-        .map(|s| jit_core::ReturningUser::unchanged(s.snapshot()))
+        .map(|s| jit_core::ReturningUser::unchanged(s.snapshot()).into())
         .collect()
 }
 
@@ -115,8 +114,8 @@ pub fn returning_cohort(
 /// diff and recompute while the rest replay.
 pub fn drifted_returning_cohort(
     system: &JustInTime,
-    cohort: &[jit_core::UserRequest],
-) -> Vec<jit_core::ReturningUser> {
+    cohort: &[UserRequest],
+) -> Vec<Job> {
     let mut returning = returning_cohort(system, cohort);
     for user in returning.iter_mut().step_by(4) {
         // A $1 change of monthly debt changes every temporal input, so

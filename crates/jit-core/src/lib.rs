@@ -20,13 +20,13 @@
 //! * [`insights`] — renders query results as the verbal insights of the
 //!   *Plans and Insights* screen (Figure 3b).
 //! * [`pipeline`] — the [`pipeline::JustInTime`] façade: admin
-//!   configuration, model training, per-user sessions with parallel
-//!   per-time-point candidate generation, the amortized multi-user
-//!   batch serving layer ([`pipeline::JustInTime::serve_batch`]), and
-//!   fingerprint-diffed incremental re-serving of returning users under
-//!   model drift ([`pipeline::JustInTime::reserve_batch`], with
-//!   [`pipeline::UserSession::snapshot`] /
-//!   [`pipeline::SessionSnapshot`]).
+//!   configuration, model training, and one serving entry point,
+//!   [`pipeline::JustInTime::serve`]. It serves a batch of
+//!   [`pipeline::Job`]s with parallel per-user or per-time-point
+//!   candidate generation, and re-serves returning users incrementally
+//!   under model drift by diffing the fingerprints of their prior
+//!   [`pipeline::SessionSnapshot`] (see
+//!   [`pipeline::UserSession::snapshot`]).
 
 #![forbid(unsafe_code)]
 
@@ -43,8 +43,8 @@ pub use candidates::{
 };
 pub use insights::Insight;
 pub use pipeline::{
-    AdminConfig, BatchError, BatchParallelism, JustInTime, ReturningUser,
-    SessionBuilder, SessionError, SessionSnapshot, TimePointServe, TrainError,
-    UserRequest, UserSession,
+    AdminConfig, BatchError, Job, JustInTime, ReturningUser, SessionBuilder,
+    SessionError, SessionSnapshot, TimePointServe, TrainError, UserRequest,
+    UserSession,
 };
 pub use queries::CannedQuery;

@@ -21,13 +21,15 @@
 //! every time point with a fingerprint combining model, constraints
 //! (with the user's overlay), temporal input, schema, scales and search
 //! parameters — every byte the search at `t` can observe. A
-//! [`SessionSnapshot`] captures those stamps with the results;
-//! [`JustInTime::reserve_batch`] diffs them against the current system
-//! and **replays** time points whose fingerprint is unchanged (provably
-//! bit-identical to re-running the search) while recomputing only the
-//! rest. Opaque artifacts fingerprint as `None` and are always
-//! recomputed — the diff never guesses. Snapshots are in-memory values:
-//! they are only meaningful within one build of the search code.
+//! [`SessionSnapshot`] captures those stamps with the results; a
+//! [`Job`] that carries one makes [`JustInTime::serve`] diff them
+//! against the current system and **replay** time points whose
+//! fingerprint is unchanged (provably bit-identical to re-running the
+//! search) while recomputing only the rest. Opaque artifacts fingerprint
+//! as `None` and are always recomputed — the diff never guesses.
+//! Fingerprints cover every input the search reads, but not the search
+//! code itself: a build that changes how candidates are searched still
+//! replays the time points of snapshots an earlier build stored.
 
 use crate::candidates::{
     Candidate, CandidateParams, CandidatesGenerator, SharedCellCache, TimelineSearch,
@@ -59,40 +61,14 @@ pub struct AdminConfig {
     pub future: FutureModelsParams,
     /// Candidate-search parameters.
     pub candidates: CandidateParams,
-    /// Run the horizon-level fan-outs — future-model training steps and
-    /// the per-time-point candidate generators — on parallel threads;
-    /// `false` forces both serial regardless of `threads`. (Forest-level
-    /// parallelism stays governed by `future.forest.threads`.)
-    pub parallel_generators: bool,
-    /// Worker threads for training and candidate generation: `0` = one
-    /// per core, `1` = serial. Propagated into `future.threads` during
-    /// training (like `horizon`). Results are bit-identical for every
-    /// value — see `jit-runtime`'s determinism contract.
+    /// Worker threads for training and serving: `0` = one per core, `1`
+    /// = serial. Propagated into `future.threads` during training (like
+    /// `horizon`); [`JustInTime::serve`] fans a batch's users out over
+    /// them, or a lone user's time points. (Forest-level parallelism
+    /// stays governed by `future.forest.threads`.) Results are
+    /// bit-identical for every value — see `jit-runtime`'s determinism
+    /// contract.
     pub threads: usize,
-    /// Worker threads for the [`JustInTime::serve_batch`] user fan-out:
-    /// `0` = one per core, `1` = serial. Results are bit-identical for
-    /// every value and for both parallelism policies.
-    pub batch_threads: usize,
-    /// Which axis [`JustInTime::serve_batch`] parallelizes over.
-    pub batch_parallelism: BatchParallelism,
-}
-
-/// Which axis of a serving batch runs on the thread pool.
-///
-/// Either way the output is bit-identical to serial per-user sessions;
-/// the policy only decides where wall-clock parallelism is spent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchParallelism {
-    /// One pool task per user (the default). Each user's per-time-point
-    /// generators then run inline on the worker — `jit-runtime`'s
-    /// nested-parallelism guard keeps the pools from multiplying. Best
-    /// when batches are wide (many users, short horizons).
-    PerUser,
-    /// Users are processed serially; each user's per-time-point
-    /// generators fan out on the pool (the `session()` behaviour). Best
-    /// for narrow batches with long horizons, and for latency over
-    /// throughput.
-    PerTimePoint,
 }
 
 impl Default for AdminConfig {
@@ -103,10 +79,7 @@ impl Default for AdminConfig {
             period_years: 1,
             future: FutureModelsParams::default(),
             candidates: CandidateParams::default(),
-            parallel_generators: true,
             threads: 0,
-            batch_threads: 0,
-            batch_parallelism: BatchParallelism::PerUser,
         }
     }
 }
@@ -150,11 +123,12 @@ impl std::error::Error for TrainError {}
 /// Errors from opening a user session.
 #[derive(Debug)]
 pub enum SessionError {
-    /// Profile dimension mismatch.
+    /// The profile's or the temporal update function's dimension does
+    /// not match the schema.
     DimensionMismatch {
         /// Schema dimension.
         expected: usize,
-        /// Profile dimension given.
+        /// Dimension given.
         found: usize,
     },
     /// A user constraint referenced an unknown feature.
@@ -167,7 +141,11 @@ impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SessionError::DimensionMismatch { expected, found } => {
-                write!(f, "profile dimension {found} does not match schema {expected}")
+                write!(
+                    f,
+                    "profile or update-fn dimension {found} does not match schema \
+                     {expected}"
+                )
             }
             SessionError::UnknownFeature(name) => {
                 write!(f, "user constraint references unknown feature {name:?}")
@@ -185,10 +163,10 @@ impl From<DbError> for SessionError {
     }
 }
 
-/// Error from [`JustInTime::serve_batch`]: which request failed and why.
+/// Error from [`JustInTime::serve`]: which job failed and why.
 #[derive(Debug)]
 pub struct BatchError {
-    /// Index of the failing request within the batch.
+    /// Index of the failing job within the batch.
     pub user: usize,
     /// The underlying per-user session error.
     pub error: SessionError,
@@ -231,6 +209,32 @@ impl UserRequest {
             constraints: ConstraintSet::new(),
             update_fn: None,
         }
+    }
+}
+
+/// One user in a [`JustInTime::serve`] batch: the request to serve now,
+/// plus the snapshot of the user's prior visit when they are returning.
+///
+/// A first visit converts from its [`UserRequest`], a returning user
+/// from its [`ReturningUser`].
+#[derive(Clone, Debug)]
+pub struct Job {
+    /// The request to serve now.
+    pub request: UserRequest,
+    /// The stored session from the previous visit; `None` serves the
+    /// request cold.
+    pub prior: Option<SessionSnapshot>,
+}
+
+impl From<UserRequest> for Job {
+    fn from(request: UserRequest) -> Self {
+        Job { request, prior: None }
+    }
+}
+
+impl From<ReturningUser> for Job {
+    fn from(returning: ReturningUser) -> Self {
+        Job { request: returning.request, prior: Some(returning.prior) }
     }
 }
 
@@ -279,10 +283,7 @@ impl JustInTime {
         }
         let mut future_params = config.future.clone();
         future_params.horizon = config.horizon;
-        // `parallel_generators: false` means serial end to end, so it
-        // must gate training exactly like candidate generation below.
-        future_params.threads =
-            if config.parallel_generators { config.threads } else { 1 };
+        future_params.threads = config.threads;
         let generator = FutureModelsGenerator::new(future_params);
         let models = generator.generate(slices).map_err(TrainError::Future)?;
 
@@ -462,235 +463,86 @@ impl JustInTime {
         TemporalUpdateFn::from_schema(&self.schema)
     }
 
-    /// Opens a session for one user — a serving batch of one.
-    ///
-    /// **Migration note:** this is a compatibility shim. New code should
-    /// go through the `jit-service` crate's `JitService::serve` with a
-    /// `ServeRequest::NewUser` — same engine underneath, plus typed
-    /// errors, snapshot persistence and sharding.
-    ///
-    /// * `profile` — the user's present feature vector `x`;
-    /// * `user_constraints` — preferences/limitations from the
-    ///   *Personal Preferences* screen (conjoined with domain constraints);
-    /// * `update_fn` — `None` uses the schema-derived temporal update
-    ///   function.
-    #[allow(clippy::expect_used)] // serve_batch on a one-element slice returns exactly one session
-    pub fn session(
-        &self,
-        profile: &[f64],
-        user_constraints: &ConstraintSet,
-        update_fn: Option<TemporalUpdateFn>,
-    ) -> Result<UserSession<'_>, SessionError> {
-        let request = UserRequest {
-            profile: profile.to_vec(),
-            constraints: user_constraints.clone(),
-            update_fn,
-        };
-        match self.serve_batch(std::slice::from_ref(&request)) {
-            Ok(mut sessions) => Ok(sessions.pop().expect("one request, one session")),
-            Err(e) => Err(e.error),
-        }
-    }
-
     /// Starts a fluent per-user request for `profile`; finish with
-    /// [`SessionBuilder::open`] (session of one) or
-    /// [`SessionBuilder::build`] (a [`UserRequest`] for a batch).
+    /// [`SessionBuilder::build`] (a [`UserRequest`]) or
+    /// [`SessionBuilder::build_returning`] (a [`ReturningUser`]), and
+    /// serve either as a [`Job`].
     pub fn session_builder(&self, profile: &[f64]) -> SessionBuilder<'_> {
         SessionBuilder { system: self, request: UserRequest::new(profile.to_vec()) }
     }
 
-    /// Serves a batch of users, amortizing everything user-independent.
+    /// Serves a batch of users — first visits and returning users alike —
+    /// amortizing everything user-independent: the models' move hints are
+    /// extracted once per batch (lazily, so a fully-replayed batch never
+    /// walks the ensembles), the domain constraints were compiled once at
+    /// training time (each user only overlays their preferences), and
+    /// every session database is cloned from the schema-initialized
+    /// template instead of re-running DDL.
     ///
-    /// **Migration note:** compatibility shim — prefer `jit-service`'s
-    /// `JitService::serve` with `ServeRequest::Batch` (typed errors,
-    /// stored snapshots, sharding via `ShardedService`). This method is
-    /// the engine that service is built on:
-    /// the models' move hints are extracted once per time point, the
-    /// domain constraints were compiled once at training time (each user
-    /// only overlays their preferences), and every session database is
-    /// cloned from the schema-initialized template instead of re-running
-    /// DDL.
-    ///
-    /// Users fan out across `config.batch_threads` workers according to
-    /// `config.batch_parallelism`. The result is **bit-identical to
-    /// serial [`JustInTime::session`] calls in request order**, for any
-    /// thread count and either policy (candidate generators derive their
-    /// RNG streams from the time index alone, and the runtime preserves
-    /// task order).
-    ///
-    /// # Errors
-    /// All-or-nothing: the first failing request (by batch index) is
-    /// reported and the whole batch is discarded.
-    pub fn serve_batch(
-        &self,
-        requests: &[UserRequest],
-    ) -> Result<Vec<UserSession<'_>>, BatchError> {
-        self.serve_batch_inner(requests, None)
-    }
-
-    /// [`JustInTime::serve_batch`] with a cross-user [`SharedCellCache`]:
-    /// every engine in the batch probes and populates `cache`, so
-    /// confidence cells computed for one user are reused by every later
-    /// user on the same model. The caller owns the cache's lifetime —
-    /// keep it across batches while the models stand, and
-    /// [`SharedCellCache::retain_models`] it on retrain.
-    ///
-    /// Output is **bit-identical** to [`JustInTime::serve_batch`] (and
-    /// to serial sessions) for any thread count, batch policy and cache
-    /// history: shared cells are pure functions of
-    /// `(model fingerprint, threshold cells)` and every reuse re-verifies
-    /// the exact cell vector.
-    pub fn serve_batch_shared(
-        &self,
-        requests: &[UserRequest],
-        cache: &Arc<SharedCellCache>,
-    ) -> Result<Vec<UserSession<'_>>, BatchError> {
-        self.serve_batch_inner(requests, Some(cache))
-    }
-
-    fn serve_batch_inner(
-        &self,
-        requests: &[UserRequest],
-        cache: Option<&Arc<SharedCellCache>>,
-    ) -> Result<Vec<UserSession<'_>>, BatchError> {
-        // Amortized once per batch: move hints per time point.
-        let hints = HintsCache::new();
-        let (session_runtime, user_runtime) = self.batch_runtimes();
-        let results = user_runtime.parallel_map(requests.len(), |u| {
-            self.serve_one(&requests[u], &hints, &session_runtime, None, cache)
-        });
-        Self::collect_batch(results)
-    }
-
-    /// Re-serves a batch of **returning users** against the current
-    /// (possibly drifted) model set.
-    ///
-    /// **Migration note:** compatibility shim — prefer `jit-service`'s
-    /// `JitService::serve` with `ServeRequest::Returning` (or
-    /// `ServeRequest::Refresh` to re-serve straight from a persistent
-    /// snapshot store).
-    ///
-    /// Each request carries the [`SessionSnapshot`] of the user's prior
-    /// visit. Per time point, the stored fingerprint is diffed against
-    /// what this system would stamp today; a time point whose model,
-    /// overlay constraints and temporal inputs are all unchanged is
-    /// **replayed** from the snapshot, and only changed (or
-    /// unfingerprintable) time points re-run the search. The fresh
+    /// A job with a [`Job::prior`] snapshot is re-served against the
+    /// current (possibly drifted) models: per time point, the stored
+    /// fingerprint is diffed against what this system would stamp today;
+    /// a time point whose model, overlay constraints and temporal inputs
+    /// are all unchanged is **replayed** from the snapshot, and only
+    /// changed (or unfingerprintable) time points re-run the search. The
     /// session's database is rebuilt either way, and
     /// [`UserSession::reserve_report`] records what happened per `t`.
     ///
-    /// The result is **bit-identical to a cold
-    /// [`JustInTime::serve_batch`] of the same requests**, for any
-    /// thread count and batch policy and any amount of drift — replay
-    /// only happens when every input the search reads is provably
-    /// unchanged (`tests/determinism.rs` locks this down under no,
-    /// partial and full drift).
+    /// With `cache`, every search in the batch probes and populates that
+    /// cross-user [`SharedCellCache`], so confidence cells computed for
+    /// one user are reused by every later user on the same model. The
+    /// caller owns the cache's lifetime — keep it across batches while
+    /// the models stand, and [`SharedCellCache::retain_models`] it on
+    /// retrain. `None` gives each search a private memo.
+    ///
+    /// The users fan out over `config.threads` workers; a lone user's
+    /// time points fan out instead. Every session is **bit-identical to
+    /// a cold serve of its job's request alone**, for any thread count,
+    /// any cache (or none), any mix of jobs and any amount of drift:
+    /// candidate generators derive their RNG streams from the time index
+    /// alone, the runtime preserves task order, shared cells are pure
+    /// functions of `(model fingerprint, threshold cells)` re-verified on
+    /// every reuse, and replay only happens when every input the search
+    /// reads is provably unchanged (`tests/determinism.rs` locks this
+    /// down under no, partial and full drift).
     ///
     /// # Errors
-    /// All-or-nothing, as for [`JustInTime::serve_batch`].
-    pub fn reserve_batch(
+    /// All-or-nothing: the first failing job (by batch index) is reported
+    /// and the whole batch is discarded.
+    pub fn serve(
         &self,
-        returning: &[ReturningUser],
-    ) -> Result<Vec<UserSession<'_>>, BatchError> {
-        self.reserve_batch_inner(returning, None)
-    }
-
-    /// [`JustInTime::reserve_batch`] with a cross-user
-    /// [`SharedCellCache`] — the re-serving twin of
-    /// [`JustInTime::serve_batch_shared`], with the same bit-identity
-    /// guarantee.
-    pub fn reserve_batch_shared(
-        &self,
-        returning: &[ReturningUser],
-        cache: &Arc<SharedCellCache>,
-    ) -> Result<Vec<UserSession<'_>>, BatchError> {
-        self.reserve_batch_inner(returning, Some(cache))
-    }
-
-    fn reserve_batch_inner(
-        &self,
-        returning: &[ReturningUser],
+        jobs: &[Job],
         cache: Option<&Arc<SharedCellCache>>,
     ) -> Result<Vec<UserSession<'_>>, BatchError> {
-        // Hints are extracted lazily: a fully-replayed batch (the
-        // no-drift fast path) never walks the ensembles at all.
         let hints = HintsCache::new();
-        let (session_runtime, user_runtime) = self.batch_runtimes();
-        let results = user_runtime.parallel_map(returning.len(), |u| {
-            self.serve_one(
-                &returning[u].request,
-                &hints,
-                &session_runtime,
-                Some(&returning[u].prior),
-                cache,
-            )
-        });
-        Self::collect_batch(results)
-    }
-
-    /// Re-serves one returning user — a [`JustInTime::reserve_batch`] of
-    /// one, and the restore half of [`UserSession::snapshot`].
-    ///
-    /// # Errors
-    /// The per-user [`SessionError`], as from [`JustInTime::session`].
-    #[allow(clippy::expect_used)] // reserve_batch on a one-element slice returns exactly one session
-    pub fn reserve(
-        &self,
-        returning: &ReturningUser,
-    ) -> Result<UserSession<'_>, SessionError> {
-        match self.reserve_batch(std::slice::from_ref(returning)) {
-            Ok(mut sessions) => Ok(sessions.pop().expect("one request, one session")),
-            Err(e) => Err(e.error),
-        }
-    }
-
-    /// The worker pools a serving batch fans out on (shared by
-    /// [`JustInTime::serve_batch`] and [`JustInTime::reserve_batch`]).
-    fn batch_runtimes(&self) -> (Runtime, Runtime) {
-        let session_runtime = if self.config.parallel_generators {
-            Runtime::new(self.config.threads)
-        } else {
-            Runtime::serial()
-        };
-        let user_runtime = match self.config.batch_parallelism {
-            BatchParallelism::PerUser => Runtime::new(self.config.batch_threads),
-            // Users stay serial; the per-time-point pool inside each
-            // session provides the parallelism.
-            BatchParallelism::PerTimePoint => Runtime::serial(),
-        };
-        (session_runtime, user_runtime)
-    }
-
-    fn collect_batch<'a>(
-        results: Vec<Result<UserSession<'a>, SessionError>>,
-    ) -> Result<Vec<UserSession<'a>>, BatchError> {
-        results
+        let runtime = Runtime::new(self.config.threads);
+        runtime
+            .parallel_map(jobs.len(), |u| {
+                self.serve_one(&jobs[u], &hints, &runtime, cache)
+            })
             .into_iter()
             .enumerate()
             .map(|(user, r)| r.map_err(|error| BatchError { user, error }))
             .collect()
     }
 
-    /// The per-user serving pipeline behind [`JustInTime::session`],
-    /// [`JustInTime::serve_batch`] and (with `prior`)
-    /// [`JustInTime::reserve_batch`].
+    /// The per-user serving pipeline behind [`JustInTime::serve`].
     fn serve_one(
         &self,
-        request: &UserRequest,
+        job: &Job,
         hints: &HintsCache,
         runtime: &Runtime,
-        prior: Option<&SessionSnapshot>,
         cache: Option<&Arc<SharedCellCache>>,
     ) -> Result<UserSession<'_>, SessionError> {
         let (temporal_inputs, bounds, fingerprints) =
-            self.fingerprint_inputs(request)?;
+            self.fingerprint_inputs(&job.request)?;
 
         // A returning user replays every time point whose fingerprint
         // still matches; everything else (including unfingerprintable
         // artifacts) is recomputed.
         let provenance: Option<Vec<TimePointServe>> =
-            prior.map(|prior| Self::diff_plan(&fingerprints, prior));
-        let replay = match (prior, &provenance) {
+            job.prior.as_ref().map(|prior| Self::diff_plan(&fingerprints, prior));
+        let replay = match (&job.prior, &provenance) {
             (Some(prior), Some(plan)) => Some((prior, plan.as_slice())),
             _ => None,
         };
@@ -711,7 +563,7 @@ impl JustInTime {
 
         Ok(UserSession {
             system: self,
-            request: request.clone(),
+            request: job.request.clone(),
             temporal_inputs,
             candidates,
             db,
@@ -759,6 +611,12 @@ impl JustInTime {
         }
         let update =
             request.update_fn.clone().unwrap_or_else(|| self.default_update_fn());
+        if update.specs().len() != self.schema.dim() {
+            return Err(SessionError::DimensionMismatch {
+                expected: self.schema.dim(),
+                found: update.specs().len(),
+            });
+        }
         let temporal_inputs = update.project_all(&request.profile, self.config.horizon);
 
         let bounds: Vec<BoundConstraint> = (0..=self.config.horizon)
@@ -802,8 +660,8 @@ impl JustInTime {
             .collect()
     }
 
-    /// The per-time-point plan [`JustInTime::reserve_batch`] would use
-    /// for `returning` — the exact fingerprint diff of a re-serve,
+    /// The per-time-point plan [`JustInTime::serve`] would use for
+    /// `returning` — the exact fingerprint diff of a re-serve,
     /// **without running any search**. This is the staleness probe
     /// behind proactive re-serving (`jit-service`'s refresh-ahead): scan
     /// stored snapshots, and only users with at least one
@@ -909,14 +767,14 @@ impl HintsCache {
 /// Fluent construction of a [`UserRequest`], bound to a trained system.
 ///
 /// ```no_run
-/// # use jit_core::JustInTime;
+/// # use jit_core::{Job, JustInTime};
 /// # use jit_data::LendingClubGenerator;
 /// # fn demo(system: &JustInTime) {
-/// let session = system
+/// let request = system
 ///     .session_builder(&LendingClubGenerator::john())
 ///     .constraint(jit_constraints::parse_constraint("gap <= 2").unwrap())
-///     .open()
-///     .unwrap();
+///     .build();
+/// let sessions = system.serve(&[Job::from(request)], None).unwrap();
 /// # }
 /// ```
 #[derive(Clone)]
@@ -933,7 +791,7 @@ impl std::fmt::Debug for SessionBuilder<'_> {
     }
 }
 
-impl<'a> SessionBuilder<'a> {
+impl SessionBuilder<'_> {
     /// Adds a preference constraint at every time point.
     pub fn constraint(mut self, c: Constraint) -> Self {
         self.request.constraints.add(c);
@@ -977,27 +835,15 @@ impl<'a> SessionBuilder<'a> {
     }
 
     /// Finishes the builder as a **returning-user** request against the
-    /// given prior snapshot, for [`JustInTime::reserve_batch`] — the
-    /// fluent way to say "same user, updated preferences".
+    /// given prior snapshot — the fluent way to say "same user, updated
+    /// preferences".
     pub fn build_returning(self, prior: SessionSnapshot) -> ReturningUser {
         ReturningUser::with_request(prior, self.request)
     }
-
-    /// Opens the session directly (a batch of one).
-    ///
-    /// # Errors
-    /// The per-user [`SessionError`], as from [`JustInTime::session`].
-    #[allow(clippy::expect_used)] // serve_batch on a one-element slice returns exactly one session
-    pub fn open(self) -> Result<UserSession<'a>, SessionError> {
-        match self.system.serve_batch(std::slice::from_ref(&self.request)) {
-            Ok(mut sessions) => Ok(sessions.pop().expect("one request, one session")),
-            Err(e) => Err(e.error),
-        }
-    }
 }
 
-/// How [`JustInTime::reserve_batch`] produced one time point of a
-/// returning user's fresh session.
+/// How [`JustInTime::serve`] produced one time point of a returning
+/// user's fresh session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimePointServe {
     /// The stored fingerprint matched the current system: the time
@@ -1015,8 +861,8 @@ pub enum TimePointServe {
 /// Snapshots outlive the system that produced them (no borrow), which is
 /// the point: store one when the user leaves, and when they return —
 /// after any number of retrains — hand it to
-/// [`JustInTime::reserve_batch`], which replays whatever drift left
-/// untouched. Their one serialized form is `jit-service`'s binary
+/// [`JustInTime::serve`] as a [`Job`], which replays whatever drift
+/// left untouched. Their one serialized form is `jit-service`'s binary
 /// snapshot codec, shared by wire frames and persistent stores. Stored
 /// copies lead with a format-version byte and frames do not: stored
 /// bytes outlive the build that wrote them, frames never do.
@@ -1084,8 +930,8 @@ impl SessionSnapshot {
     }
 }
 
-/// One returning user in a [`JustInTime::reserve_batch`]: the request to
-/// serve now plus the snapshot of their prior visit.
+/// One returning user: the request to serve now plus the snapshot of
+/// their prior visit. Serve it as a [`Job`].
 #[derive(Clone, Debug)]
 pub struct ReturningUser {
     /// The request to serve now — the prior one verbatim, or updated
@@ -1117,8 +963,8 @@ pub struct UserSession<'a> {
     db: Database,
     /// Per-time-point serving fingerprints (see the module docs).
     fingerprints: Vec<Option<Digest>>,
-    /// Per-time-point provenance when this session came from
-    /// [`JustInTime::reserve_batch`]; `None` for cold sessions.
+    /// Per-time-point provenance when this session came from a job with
+    /// a prior snapshot; `None` for cold sessions.
     provenance: Option<Vec<TimePointServe>>,
 }
 
@@ -1149,7 +995,7 @@ impl<'a> UserSession<'a> {
         }
     }
 
-    /// For sessions produced by [`JustInTime::reserve_batch`]: how each
+    /// For sessions served from a [`Job`] with a prior snapshot: how each
     /// time point was served. `None` for cold sessions.
     pub fn reserve_report(&self) -> Option<&[TimePointServe]> {
         self.provenance.as_deref()
@@ -1237,15 +1083,28 @@ mod tests {
                 top_k: 6,
                 ..Default::default()
             },
-            parallel_generators: true,
             threads: 0,
-            ..Default::default()
         }
     }
 
     fn trained(horizon: usize) -> JustInTime {
         let (schema, slices) = lending_slices(250);
         JustInTime::train(small_config(horizon), &schema, &slices).unwrap()
+    }
+
+    /// Serves one job in a batch of its own.
+    fn serve_alone(
+        system: &JustInTime,
+        job: impl Into<Job>,
+    ) -> Result<UserSession<'_>, SessionError> {
+        match system.serve(&[job.into()], None) {
+            Ok(mut sessions) => Ok(sessions.remove(0)),
+            Err(e) => Err(e.error),
+        }
+    }
+
+    fn john() -> UserRequest {
+        UserRequest::new(LendingClubGenerator::john())
     }
 
     #[test]
@@ -1279,9 +1138,7 @@ mod tests {
     #[test]
     fn john_session_end_to_end() {
         let system = trained(3);
-        let session = system
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .unwrap();
+        let session = serve_alone(&system, john()).unwrap();
         // Temporal inputs: age advances.
         assert_eq!(session.temporal_inputs().len(), 4);
         assert_eq!(session.temporal_inputs()[2][0], 31.0);
@@ -1300,9 +1157,7 @@ mod tests {
     #[test]
     fn canned_queries_render_insights() {
         let system = trained(2);
-        let session = system
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .unwrap();
+        let session = serve_alone(&system, john()).unwrap();
         let insights = session.run_all().unwrap();
         assert_eq!(insights.len(), 6);
         for i in &insights {
@@ -1314,10 +1169,9 @@ mod tests {
     fn user_constraints_flow_through() {
         use jit_constraints::builder::*;
         let system = trained(2);
-        let mut prefs = ConstraintSet::new();
-        prefs.add(gap().le(1.0));
-        let session =
-            system.session(&LendingClubGenerator::john(), &prefs, None).unwrap();
+        let mut request = john();
+        request.constraints.add(gap().le(1.0));
+        let session = serve_alone(&system, request).unwrap();
         for c in session.candidates() {
             assert!(c.gap <= 1, "gap constraint leaked: {}", c.gap);
         }
@@ -1327,16 +1181,12 @@ mod tests {
     fn parallel_and_serial_agree() {
         let (schema, slices) = lending_slices(250);
         let mut cfg = small_config(2);
-        cfg.parallel_generators = true;
+        cfg.threads = 0;
         let par = JustInTime::train(cfg.clone(), &schema, &slices).unwrap();
-        cfg.parallel_generators = false;
+        cfg.threads = 1;
         let ser = JustInTime::train(cfg, &schema, &slices).unwrap();
-        let ps = par
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .unwrap();
-        let ss = ser
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .unwrap();
+        let ps = serve_alone(&par, john()).unwrap();
+        let ss = serve_alone(&ser, john()).unwrap();
         assert_eq!(ps.candidates().len(), ss.candidates().len());
         for (a, b) in ps.candidates().iter().zip(ss.candidates()) {
             assert_eq!(a.profile, b.profile);
@@ -1365,21 +1215,20 @@ mod tests {
         let system = trained(2);
         let mut prefs = ConstraintSet::new();
         prefs.add(gap().le(2.0));
-        let cohort = [
-            UserRequest::new(LendingClubGenerator::john()),
+        let cohort: Vec<Job> = vec![
+            john().into(),
             UserRequest {
                 profile: LendingClubGenerator::john(),
                 constraints: prefs.clone(),
                 update_fn: None,
-            },
-            UserRequest::new(vec![40.0, 1.0, 30_000.0, 3_000.0, 10.0, 30_000.0]),
+            }
+            .into(),
+            UserRequest::new(vec![40.0, 1.0, 30_000.0, 3_000.0, 10.0, 30_000.0]).into(),
         ];
-        let batch = system.serve_batch(&cohort).unwrap();
+        let batch = system.serve(&cohort, None).unwrap();
         assert_eq!(batch.len(), 3);
-        for (req, batched) in cohort.iter().zip(&batch) {
-            let serial = system
-                .session(&req.profile, &req.constraints, req.update_fn.clone())
-                .unwrap();
+        for (job, batched) in cohort.iter().zip(&batch) {
+            let serial = serve_alone(&system, job.clone()).unwrap();
             assert_eq!(
                 candidate_fingerprints(batched),
                 candidate_fingerprints(&serial)
@@ -1398,16 +1247,17 @@ mod tests {
         let mut capped = ConstraintSet::new();
         capped.add(gap().le(1.0));
         // Constrained user sandwiched between unconstrained ones.
-        let requests = [
-            UserRequest::new(LendingClubGenerator::john()),
+        let requests: Vec<Job> = vec![
+            john().into(),
             UserRequest {
                 profile: LendingClubGenerator::john(),
                 constraints: capped,
                 update_fn: None,
-            },
-            UserRequest::new(LendingClubGenerator::john()),
+            }
+            .into(),
+            john().into(),
         ];
-        let batch = system.serve_batch(&requests).unwrap();
+        let batch = system.serve(&requests, None).unwrap();
         for c in batch[1].candidates() {
             assert!(c.gap <= 1, "user 1's gap cap violated: {}", c.gap);
         }
@@ -1417,9 +1267,7 @@ mod tests {
             candidate_fingerprints(&batch[0]),
             candidate_fingerprints(&batch[2])
         );
-        let unconstrained = system
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .unwrap();
+        let unconstrained = serve_alone(&system, john()).unwrap();
         assert_eq!(
             candidate_fingerprints(&batch[0]),
             candidate_fingerprints(&unconstrained)
@@ -1427,27 +1275,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_policies_and_thread_counts_agree() {
+    fn batch_thread_counts_agree() {
         let (schema, slices) = lending_slices(250);
-        let requests = [
-            UserRequest::new(LendingClubGenerator::john()),
-            UserRequest::new(vec![40.0, 1.0, 30_000.0, 3_000.0, 10.0, 30_000.0]),
+        let requests: Vec<Job> = vec![
+            john().into(),
+            UserRequest::new(vec![40.0, 1.0, 30_000.0, 3_000.0, 10.0, 30_000.0]).into(),
         ];
         let mut reference: Option<Vec<Fingerprint>> = None;
-        for policy in [BatchParallelism::PerUser, BatchParallelism::PerTimePoint] {
-            for threads in [1usize, 2, 8] {
-                let mut cfg = small_config(2);
-                cfg.batch_parallelism = policy;
-                cfg.batch_threads = threads;
-                let system = JustInTime::train(cfg, &schema, &slices).unwrap();
-                let batch = system.serve_batch(&requests).unwrap();
-                let prints: Vec<_> = batch.iter().map(candidate_fingerprints).collect();
-                match &reference {
-                    None => reference = Some(prints),
-                    Some(r) => {
-                        assert_eq!(&prints, r, "policy {policy:?} threads {threads}")
-                    }
-                }
+        for threads in [1usize, 2, 8] {
+            let mut cfg = small_config(2);
+            cfg.threads = threads;
+            let system = JustInTime::train(cfg, &schema, &slices).unwrap();
+            let batch = system.serve(&requests, None).unwrap();
+            let prints: Vec<_> = batch.iter().map(candidate_fingerprints).collect();
+            match &reference {
+                None => reference = Some(prints),
+                Some(r) => assert_eq!(&prints, r, "threads {threads}"),
             }
         }
     }
@@ -1455,10 +1298,9 @@ mod tests {
     #[test]
     fn reserve_with_no_drift_replays_every_time_point() {
         let system = trained(2);
-        let request = UserRequest::new(LendingClubGenerator::john());
-        let cold = system.serve_batch(std::slice::from_ref(&request)).unwrap();
+        let cold = system.serve(&[john().into()], None).unwrap();
         let returning = ReturningUser::unchanged(cold[0].snapshot());
-        let warm = system.reserve_batch(std::slice::from_ref(&returning)).unwrap();
+        let warm = system.serve(&[returning.into()], None).unwrap();
         assert_eq!(
             warm[0].reserve_report().unwrap(),
             &[TimePointServe::Replayed; 3][..]
@@ -1480,17 +1322,14 @@ mod tests {
     fn reserve_recomputes_only_changed_time_points() {
         use jit_constraints::builder::*;
         let system = trained(2);
-        let session = system
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .unwrap();
-        let prior = session.snapshot();
+        let prior = serve_alone(&system, john()).unwrap().snapshot();
         // The user comes back with a new preference scoped to t = 1 only:
         // t = 0 and t = 2 replay, t = 1 re-runs under the new overlay.
         let returning = system
             .session_builder(&LendingClubGenerator::john())
             .constraint_at(1, gap().le(1.0))
             .build_returning(prior);
-        let warm = system.reserve(&returning).unwrap();
+        let warm = serve_alone(&system, returning.clone()).unwrap();
         assert_eq!(
             warm.reserve_report().unwrap(),
             &[
@@ -1500,9 +1339,8 @@ mod tests {
             ][..]
         );
         // Bit-identical to serving the new request cold.
-        let cold =
-            system.serve_batch(std::slice::from_ref(&returning.request)).unwrap();
-        assert_eq!(candidate_fingerprints(&warm), candidate_fingerprints(&cold[0]));
+        let cold = serve_alone(&system, returning.request).unwrap();
+        assert_eq!(candidate_fingerprints(&warm), candidate_fingerprints(&cold));
         assert!(warm
             .candidates()
             .iter()
@@ -1514,30 +1352,25 @@ mod tests {
     fn reserve_under_full_drift_recomputes_everything_bit_identically() {
         let (schema, slices) = lending_slices(250);
         let before = JustInTime::train(small_config(2), &schema, &slices[..4]).unwrap();
-        let request = UserRequest::new(LendingClubGenerator::john());
-        let prior =
-            before.serve_batch(std::slice::from_ref(&request)).unwrap()[0].snapshot();
+        let prior = serve_alone(&before, john()).unwrap().snapshot();
         // Retrain on the full history: every model changes, so every time
         // point must recompute — and match the drifted system's cold
         // serve exactly.
         let after = JustInTime::train(small_config(2), &schema, &slices).unwrap();
-        let warm = after.reserve(&ReturningUser::unchanged(prior)).unwrap();
+        let warm = serve_alone(&after, ReturningUser::unchanged(prior)).unwrap();
         assert_eq!(
             warm.reserve_report().unwrap(),
             &[TimePointServe::Recomputed; 3][..]
         );
-        let cold = after.serve_batch(std::slice::from_ref(&request)).unwrap();
-        assert_eq!(candidate_fingerprints(&warm), candidate_fingerprints(&cold[0]));
+        let cold = serve_alone(&after, john()).unwrap();
+        assert_eq!(candidate_fingerprints(&warm), candidate_fingerprints(&cold));
     }
 
     #[test]
     fn reserve_errors_mirror_serve_errors() {
         use jit_constraints::builder::*;
         let system = trained(1);
-        let prior = system
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .unwrap()
-            .snapshot();
+        let prior = serve_alone(&system, john()).unwrap().snapshot();
         let mut bad = ConstraintSet::new();
         bad.add(feature("fico_score").ge(700.0));
         let returning = ReturningUser::with_request(
@@ -1548,12 +1381,11 @@ mod tests {
                 update_fn: None,
             },
         );
-        let err = system.reserve_batch(std::slice::from_ref(&returning)).unwrap_err();
+        let err = system.serve(&[returning.into()], None).unwrap_err();
         assert_eq!(err.user, 0);
         assert!(
             matches!(err.error, SessionError::UnknownFeature(ref f) if f == "fico_score")
         );
-        assert!(system.reserve_batch(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -1562,28 +1394,30 @@ mod tests {
         let system = trained(1);
         let mut bad = ConstraintSet::new();
         bad.add(feature("fico_score").ge(700.0));
-        let requests = [
-            UserRequest::new(LendingClubGenerator::john()),
+        let requests: Vec<Job> = vec![
+            john().into(),
             UserRequest {
                 profile: LendingClubGenerator::john(),
                 constraints: bad,
                 update_fn: None,
-            },
+            }
+            .into(),
         ];
-        let err = system.serve_batch(&requests).unwrap_err();
+        let err = system.serve(&requests, None).unwrap_err();
         assert_eq!(err.user, 1);
         assert!(
             matches!(err.error, SessionError::UnknownFeature(ref f) if f == "fico_score")
         );
         // Dimension errors surface the same way.
-        let err = system.serve_batch(&[UserRequest::new(vec![1.0])]).unwrap_err();
+        let err =
+            system.serve(&[UserRequest::new(vec![1.0]).into()], None).unwrap_err();
         assert_eq!(err.user, 0);
         assert!(matches!(
             err.error,
             SessionError::DimensionMismatch { expected: 6, found: 1 }
         ));
         // Empty batches are fine.
-        assert!(system.serve_batch(&[]).unwrap().is_empty());
+        assert!(system.serve(&[], None).unwrap().is_empty());
     }
 
     #[test]
@@ -1591,28 +1425,39 @@ mod tests {
         use jit_constraints::builder::*;
         use jit_temporal::update::Override;
         let system = trained(2);
-        let session = system
-            .session_builder(&LendingClubGenerator::john())
-            .constraint(gap().le(1.0))
-            .override_feature("debt", Override::Trajectory(vec![1_000.0, 0.0]))
-            .open()
-            .unwrap();
-        assert!(session.candidates().iter().all(|c| c.gap <= 1));
-        assert_eq!(session.temporal_inputs()[1][3], 1_000.0);
-        assert_eq!(session.temporal_inputs()[2][3], 0.0);
-        // build() produces a request usable in a batch, identically.
         let request = system
             .session_builder(&LendingClubGenerator::john())
             .constraint(gap().le(1.0))
+            .override_feature("debt", Override::Trajectory(vec![1_000.0, 0.0]))
             .build();
-        let batch = system.serve_batch(std::slice::from_ref(&request)).unwrap();
-        assert!(batch[0].candidates().iter().all(|c| c.gap <= 1));
+        let session = serve_alone(&system, request).unwrap();
+        assert!(session.candidates().iter().all(|c| c.gap <= 1));
+        assert_eq!(session.temporal_inputs()[1][3], 1_000.0);
+        assert_eq!(session.temporal_inputs()[2][3], 0.0);
     }
 
     #[test]
     fn dimension_errors() {
         let system = trained(1);
-        let err = system.session(&[1.0, 2.0], &ConstraintSet::new(), None).unwrap_err();
+        let err = serve_alone(&system, UserRequest::new(vec![1.0, 2.0])).unwrap_err();
+        assert!(matches!(
+            err,
+            SessionError::DimensionMismatch { expected: 6, found: 2 }
+        ));
+        // An update function built for another schema: a typed error from
+        // serving and from planning a re-serve, not a projection panic.
+        let narrow = FeatureSchema::new(system.schema().features()[..2].to_vec());
+        let mut request = john();
+        request.update_fn = Some(TemporalUpdateFn::from_schema(&narrow));
+        let err = serve_alone(&system, request.clone()).unwrap_err();
+        assert!(matches!(
+            err,
+            SessionError::DimensionMismatch { expected: 6, found: 2 }
+        ));
+        let prior = serve_alone(&system, john()).unwrap().snapshot();
+        let err = system
+            .reserve_plan(&ReturningUser::with_request(prior, request))
+            .unwrap_err();
         assert!(matches!(
             err,
             SessionError::DimensionMismatch { expected: 6, found: 2 }
@@ -1623,10 +1468,9 @@ mod tests {
     fn unknown_feature_in_user_constraints() {
         use jit_constraints::builder::*;
         let system = trained(1);
-        let mut prefs = ConstraintSet::new();
-        prefs.add(feature("fico_score").ge(700.0));
-        let err =
-            system.session(&LendingClubGenerator::john(), &prefs, None).unwrap_err();
+        let mut request = john();
+        request.constraints.add(feature("fico_score").ge(700.0));
+        let err = serve_alone(&system, request).unwrap_err();
         assert!(matches!(err, SessionError::UnknownFeature(f) if f == "fico_score"));
     }
 
@@ -1634,11 +1478,11 @@ mod tests {
     fn custom_update_fn_respected() {
         use jit_temporal::update::Override;
         let system = trained(2);
+        let mut request = john();
         let mut update = system.default_update_fn();
         update.override_feature("debt", Override::Trajectory(vec![1_000.0, 0.0]));
-        let session = system
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), Some(update))
-            .unwrap();
+        request.update_fn = Some(update);
+        let session = serve_alone(&system, request).unwrap();
         assert_eq!(session.temporal_inputs()[1][3], 1_000.0);
         assert_eq!(session.temporal_inputs()[2][3], 0.0);
     }
@@ -1646,9 +1490,7 @@ mod tests {
     #[test]
     fn present_decision_rejects_john() {
         let system = trained(1);
-        let session = system
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .unwrap();
+        let session = serve_alone(&system, john()).unwrap();
         let (conf, approved) = session.present_decision();
         assert!((0.0..=1.0).contains(&conf));
         assert!(!approved, "John should start rejected (conf {conf})");

@@ -543,13 +543,11 @@ mod tests {
         serial.shards = 1;
         serial.dispatch_threads = 1;
         serial.config.threads = 1;
-        serial.config.batch_threads = 1;
         serial.batch = 5;
         let mut wide = base.clone();
         wide.shards = 3;
         wide.dispatch_threads = 2;
         wide.config.threads = 2;
-        wide.config.batch_threads = 2;
         let a = run_invalidation(&workload, &serial).unwrap();
         let b = run_invalidation(&workload, &wide).unwrap();
         assert_eq!(a, b);

@@ -6,12 +6,10 @@
 //!
 //! ## Why this crate exists
 //!
-//! After the batch- and incremental-serving PRs, `jit-core` exposed
-//! three divergent ad-hoc entry points — [`JustInTime::session`],
-//! [`JustInTime::serve_batch`] and [`JustInTime::reserve_batch`] — with
-//! per-method error types, no user identity, no persistence and no
-//! multi-shard story. This crate redesigns that surface into a single
-//! contract:
+//! `jit-core`'s one serving entry point, [`JustInTime::serve`], takes a
+//! batch of anonymous jobs and returns borrowed sessions: no user
+//! identity, no persistence and no multi-shard story. This crate wraps
+//! it in a single contract:
 //!
 //! * [`ServeRequest`] — the four workloads a serving tier sees:
 //!   [`ServeRequest::NewUser`], [`ServeRequest::Batch`],
@@ -34,9 +32,9 @@
 //! session is snapshotted into the service's [`SnapshotStore`] under its
 //! user id before the response is returned, so the next
 //! [`ServeRequest::Refresh`] for that id replays whatever drift leaves
-//! untouched. Serving through the service is **bit-identical** to the
-//! legacy `jit-core` entry points (locked down by `tests/determinism.rs`
-//! at the workspace root).
+//! untouched. Serving through the service is **bit-identical** to
+//! calling [`JustInTime::serve`] directly (locked down by
+//! `tests/determinism.rs` at the workspace root).
 //!
 //! ## Snapshot stores
 //!
@@ -77,18 +75,19 @@
 //!
 //! [`shard_of`]: ShardedService::shard_of
 //!
-//! ## Migrating from the old entry points
+//! ## From `jit-core` jobs to service requests
 //!
-//! | old (`jit-core`, still available as shims) | new |
+//! | `jit-core` ([`JustInTime::serve`]) | service |
 //! |---|---|
-//! | `system.session(profile, prefs, update)` | `service.serve(ServeRequest::new_user(id, request))` |
-//! | `system.serve_batch(&requests)` | `service.serve(ServeRequest::batch(members))` |
-//! | `system.reserve_batch(&returning)` | `service.serve(ServeRequest::returning(members))` |
+//! | `system.serve(&[Job::from(request)], None)` | `service.serve(ServeRequest::new_user(id, request))` |
+//! | `system.serve(&jobs, None)`, first visits | `service.serve(ServeRequest::batch(members))` |
+//! | `system.serve(&jobs, None)`, returning users | `service.serve(ServeRequest::returning(members))` |
 //! | hand-held `SessionSnapshot` values | `ServeRequest::refresh(ids)` against the store |
 //!
-//! The old methods remain thin shims over the same engine and stay
-//! bit-identical; new capabilities (typed errors, persistence, sharding,
-//! serve reports) only exist here.
+//! Every request runs the same engine, with this service's
+//! [`jit_core::SharedCellCache`] in place of `None`, and stays
+//! bit-identical; typed errors, persistence, sharding and serve reports
+//! only exist here.
 //!
 //! ## Cross-user search sharing and refresh-ahead
 //!
@@ -154,9 +153,7 @@
 //! Recourse" measurement, at population scale, with a content digest
 //! that locks whole runs down across thread, shard and process counts.
 //!
-//! [`JustInTime::session`]: jit_core::JustInTime::session
-//! [`JustInTime::serve_batch`]: jit_core::JustInTime::serve_batch
-//! [`JustInTime::reserve_batch`]: jit_core::JustInTime::reserve_batch
+//! [`JustInTime::serve`]: jit_core::JustInTime::serve
 
 #![forbid(unsafe_code)]
 

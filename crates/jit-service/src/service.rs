@@ -1,12 +1,11 @@
 //! The single-shard serving service.
 
 use crate::api::{
-    CohortMember, ReturningMember, ServeError, ServeReport, ServeRequest,
-    ServeResponse, ServedUser, ShardReport,
+    ServeError, ServeReport, ServeRequest, ServeResponse, ServedUser, ShardReport,
 };
 use crate::store::{MemorySnapshotStore, SnapshotStore};
 use jit_core::{
-    AdminConfig, JustInTime, ReturningUser, SharedCellCache, TimePointServe,
+    AdminConfig, Job, JustInTime, ReturningUser, SharedCellCache, TimePointServe,
     TrainError, UserSession,
 };
 use jit_data::FeatureSchema;
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// [`SnapshotStore`], behind the typed [`ServeRequest`] /
 /// [`ServeResponse`] contract (see the crate docs).
 ///
-/// Serving is bit-identical to the legacy `jit-core` entry points; what
+/// Serving is bit-identical to calling [`JustInTime::serve`]; what
 /// the service adds is user identity, automatic snapshot persistence,
 /// typed errors, the aggregate [`ServeReport`] — and a per-service
 /// [`SharedCellCache`]: confidence cells computed for one user are
@@ -149,63 +148,36 @@ impl JitService {
         request: ServeRequest,
     ) -> Result<ServeResponse<'_>, ServeError> {
         check_request(&request)?;
-        match request {
-            ServeRequest::NewUser(member) => self.serve_cohort(vec![member]),
-            ServeRequest::Batch(members) => self.serve_cohort(members),
-            ServeRequest::Returning(members) => self.reserve_cohort(members),
-            ServeRequest::Refresh(ids) => {
-                let members =
-                    ids.into_iter()
-                        .map(|user_id| {
-                            let prior = crate::store::retry_transient(|| {
-                                self.store.load(&user_id)
-                            })
+        let (user_ids, jobs): (Vec<String>, Vec<Job>) = match request {
+            ServeRequest::NewUser(member) => {
+                (vec![member.user_id], vec![Job::from(member.request)])
+            }
+            ServeRequest::Batch(members) => {
+                members.into_iter().map(|m| (m.user_id, Job::from(m.request))).unzip()
+            }
+            ServeRequest::Returning(members) => {
+                members.into_iter().map(|m| (m.user_id, Job::from(m.returning))).unzip()
+            }
+            ServeRequest::Refresh(ids) => ids
+                .into_iter()
+                .map(|user_id| {
+                    let prior =
+                        crate::store::retry_transient(|| self.store.load(&user_id))
                             .map_err(|error| ServeError::Store {
                                 user_id: Some(user_id.clone()),
                                 error,
                             })?
                             .ok_or_else(|| ServeError::UnknownUser(user_id.clone()))?;
-                            Ok(ReturningMember {
-                                user_id,
-                                returning: ReturningUser::unchanged(prior),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, ServeError>>()?;
-                self.reserve_cohort(members)
-            }
-        }
-    }
-
-    fn serve_cohort(
-        &self,
-        members: Vec<CohortMember>,
-    ) -> Result<ServeResponse<'_>, ServeError> {
-        let requests: Vec<jit_core::UserRequest> =
-            members.iter().map(|m| m.request.clone()).collect();
-        let sessions =
-            self.system.serve_batch_shared(&requests, &self.cache).map_err(|e| {
-                ServeError::Session {
-                    user_id: members[e.user].user_id.clone(),
-                    error: e.error,
-                }
-            })?;
-        self.finish(members.into_iter().map(|m| m.user_id).collect(), sessions)
-    }
-
-    fn reserve_cohort(
-        &self,
-        members: Vec<ReturningMember>,
-    ) -> Result<ServeResponse<'_>, ServeError> {
-        let returning: Vec<ReturningUser> =
-            members.iter().map(|m| m.returning.clone()).collect();
-        let sessions = self
-            .system
-            .reserve_batch_shared(&returning, &self.cache)
-            .map_err(|e| ServeError::Session {
-                user_id: members[e.user].user_id.clone(),
-                error: e.error,
-            })?;
-        self.finish(members.into_iter().map(|m| m.user_id).collect(), sessions)
+                    Ok((user_id, Job::from(ReturningUser::unchanged(prior))))
+                })
+                .collect::<Result<Vec<_>, ServeError>>()?
+                .into_iter()
+                .unzip(),
+        };
+        let sessions = self.system.serve(&jobs, Some(&self.cache)).map_err(|e| {
+            ServeError::Session { user_id: user_ids[e.user].clone(), error: e.error }
+        })?;
+        self.finish(user_ids, sessions)
     }
 
     /// Stores snapshots and assembles the response + report.

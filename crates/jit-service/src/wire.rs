@@ -73,8 +73,8 @@ use jit_constraints::{
     CmpOp, Constraint, ConstraintSet, LinExpr, Special, TimeScope, VarRef,
 };
 use jit_core::{
-    AdminConfig, BatchParallelism, Candidate, CandidateParams, Objective,
-    ReturningUser, SessionError, SessionSnapshot, TimePointServe, UserRequest,
+    AdminConfig, Candidate, CandidateParams, Objective, ReturningUser, SessionError,
+    SessionSnapshot, TimePointServe, UserRequest,
 };
 use jit_data::{FeatureSchema, TemporalSpec};
 use jit_db::codec::{
@@ -992,13 +992,7 @@ fn encode_train_spec(out: &mut Vec<u8>, spec: &TrainSpec) {
     encode_usize(out, cand.early_stop_after);
     out.push(u8::from(cand.refine));
     encode_u64(out, cand.seed);
-    out.push(u8::from(c.parallel_generators));
     encode_usize(out, c.threads);
-    encode_usize(out, c.batch_threads);
-    out.push(match c.batch_parallelism {
-        BatchParallelism::PerUser => 0,
-        BatchParallelism::PerTimePoint => 1,
-    });
 }
 
 fn decode_train_spec(d: &mut Decoder<'_>) -> Result<TrainSpec, WireError> {
@@ -1064,13 +1058,7 @@ fn decode_train_spec(d: &mut Decoder<'_>) -> Result<TrainSpec, WireError> {
         period_years,
         future,
         candidates,
-        parallel_generators: d.tag(2, "parallel generators flag")? == 1,
         threads: d.usize("threads")?,
-        batch_threads: d.usize("batch threads")?,
-        batch_parallelism: match d.tag(2, "batch parallelism tag")? {
-            0 => BatchParallelism::PerUser,
-            _ => BatchParallelism::PerTimePoint,
-        },
     };
     Ok(TrainSpec { data, config })
 }
@@ -1352,7 +1340,7 @@ pub(crate) mod tests {
                     },
                     ..Default::default()
                 },
-                batch_parallelism: BatchParallelism::PerTimePoint,
+                threads: 3,
                 ..Default::default()
             },
         };

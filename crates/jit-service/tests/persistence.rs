@@ -2,7 +2,7 @@
 //! through a [`SnapshotStore`] (both backends) and loaded back must
 //! re-serve **bit-identically** to reserving from the original in-memory
 //! snapshot — under no drift and partial drift, for 1/2/8 worker
-//! threads and both batch policies.
+//! threads.
 //!
 //! This is the end-to-end guarantee the store stack (one versioned
 //! binary snapshot blob per user, every float as its raw bits) exists
@@ -14,8 +14,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use jit_core::{
-    AdminConfig, BatchParallelism, JustInTime, ReturningUser, TimePointServe,
-    UserRequest, UserSession,
+    AdminConfig, Job, JustInTime, ReturningUser, TimePointServe, UserRequest,
+    UserSession,
 };
 use jit_data::{FeatureSchema, LendingClubGenerator, LendingClubParams};
 use jit_ml::{Dataset, RandomForestParams};
@@ -25,9 +25,8 @@ use std::sync::OnceLock;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn systems() -> &'static Vec<(usize, BatchParallelism, JustInTime)> {
-    static SYSTEMS: OnceLock<Vec<(usize, BatchParallelism, JustInTime)>> =
-        OnceLock::new();
+fn systems() -> &'static Vec<(usize, JustInTime)> {
+    static SYSTEMS: OnceLock<Vec<(usize, JustInTime)>> = OnceLock::new();
     SYSTEMS.get_or_init(|| {
         let gen = LendingClubGenerator::new(LendingClubParams {
             records_per_year: 120,
@@ -39,14 +38,12 @@ fn systems() -> &'static Vec<(usize, BatchParallelism, JustInTime)> {
             .take(4)
             .map(|y| LendingClubGenerator::to_dataset(&gen.records_for_year(y)))
             .collect();
-        let mut out = Vec::new();
-        for policy in [BatchParallelism::PerUser, BatchParallelism::PerTimePoint] {
-            for threads in THREAD_COUNTS {
+        THREAD_COUNTS
+            .into_iter()
+            .map(|threads| {
                 let config = AdminConfig {
                     horizon: 2,
                     threads,
-                    batch_threads: threads,
-                    batch_parallelism: policy,
                     future: jit_temporal::future::FutureModelsParams {
                         n_landmarks: 20,
                         pool_slices: 2,
@@ -63,11 +60,15 @@ fn systems() -> &'static Vec<(usize, BatchParallelism, JustInTime)> {
                 };
                 let system = JustInTime::train(config, gen.schema(), &slices)
                     .expect("property fixture trains");
-                out.push((threads, policy, system));
-            }
-        }
-        out
+                (threads, system)
+            })
+            .collect()
     })
+}
+
+/// Serves one job in a batch of its own.
+fn serve_alone(system: &JustInTime, job: impl Into<Job>) -> UserSession<'_> {
+    system.serve(&[job.into()], None).expect("serve").remove(0)
 }
 
 fn schema() -> &'static FeatureSchema {
@@ -102,7 +103,7 @@ proptest! {
         drift_t in 0usize..3,
     ) {
         use jit_constraints::builder::{feature, gap};
-        for (threads, policy, system) in systems() {
+        for (threads, system) in systems() {
             // A request with preferences whose constants exercise the
             // codec's float path (arbitrary f64s from the strategy).
             let request = system
@@ -116,10 +117,7 @@ proptest! {
                     ),
                 )
                 .build();
-            let cold = system
-                .serve_batch(std::slice::from_ref(&request))
-                .expect("cold serve");
-            let snapshot = cold[0].snapshot();
+            let snapshot = serve_alone(system, request.clone()).snapshot();
 
             let memory = MemorySnapshotStore::new();
             let db = DbSnapshotStore::in_new_database(schema()).expect("open");
@@ -130,18 +128,15 @@ proptest! {
                 let loaded = store.load("u").expect("load").expect("stored");
 
                 // No drift: both replay fully and match bit-for-bit.
-                let from_memory = system
-                    .reserve(&ReturningUser::unchanged(snapshot.clone()))
-                    .expect("reserve in-memory");
-                let from_store = system
-                    .reserve(&ReturningUser::unchanged(loaded.clone()))
-                    .expect("reserve loaded");
+                let from_memory =
+                    serve_alone(system, ReturningUser::unchanged(snapshot.clone()));
+                let from_store =
+                    serve_alone(system, ReturningUser::unchanged(loaded.clone()));
                 prop_assert_eq!(
                     print(&from_store),
                     print(&from_memory),
-                    "no-drift divergence (threads={}, policy={:?})",
-                    threads,
-                    policy
+                    "no-drift divergence (threads={})",
+                    threads
                 );
                 prop_assert!(from_store
                     .reserve_report()
@@ -157,24 +152,19 @@ proptest! {
                     r.constraints.add_at(drift_t, gap().le(1.0));
                     r
                 };
-                let warm_memory = system
-                    .reserve(&ReturningUser::with_request(
-                        snapshot.clone(),
-                        drifted_request.clone(),
-                    ))
-                    .expect("partial reserve in-memory");
-                let warm_store = system
-                    .reserve(&ReturningUser::with_request(
-                        loaded,
-                        drifted_request.clone(),
-                    ))
-                    .expect("partial reserve loaded");
+                let warm_memory = serve_alone(
+                    system,
+                    ReturningUser::with_request(snapshot.clone(), drifted_request.clone()),
+                );
+                let warm_store = serve_alone(
+                    system,
+                    ReturningUser::with_request(loaded, drifted_request.clone()),
+                );
                 prop_assert_eq!(
                     print(&warm_store),
                     print(&warm_memory),
-                    "partial-drift divergence (threads={}, policy={:?})",
-                    threads,
-                    policy
+                    "partial-drift divergence (threads={})",
+                    threads
                 );
                 prop_assert_eq!(
                     warm_store.reserve_report(),
@@ -201,16 +191,12 @@ proptest! {
         // in the request (bit-pattern probing beyond what real serves
         // produce): save -> load must preserve profile/input/candidate
         // bits, fingerprints and constraint digests exactly.
-        let (_, _, system) = &systems()[0];
+        let (_, system) = &systems()[0];
         let mut profile = LendingClubGenerator::john();
         // Perturb one coordinate by an arbitrary ULP pattern within
         // schema bounds (keep it finite and in range).
         profile[2] = 46_000.0 + (bump % 1_000) as f64 + 0.1 + 0.2;
-        let request = UserRequest::new(profile);
-        let cold = system
-            .serve_batch(std::slice::from_ref(&request))
-            .expect("cold serve");
-        let snapshot = cold[0].snapshot();
+        let snapshot = serve_alone(system, UserRequest::new(profile)).snapshot();
 
         let db = DbSnapshotStore::in_new_database(schema()).expect("open");
         db.save("u", &snapshot).expect("save");

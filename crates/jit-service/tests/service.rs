@@ -6,12 +6,12 @@
 // Test code: assertion-style unwraps are the point.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use jit_core::{JustInTime, UserRequest};
+use jit_core::{Job, JustInTime, UserRequest};
 use jit_data::{FeatureSchema, LendingClubGenerator, LendingClubParams};
 use jit_ml::{Dataset, RandomForestParams};
 use jit_service::{
     CohortMember, DbSnapshotStore, JitService, MemorySnapshotStore, ReturningMember,
-    ServeError, ServeRequest, ShardedService, SnapshotStore, StoreError,
+    ServeBackend, ServeError, ServeRequest, ShardedService, SnapshotStore, StoreError,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -88,11 +88,11 @@ fn print(session: &jit_core::UserSession<'_>) -> Print {
 }
 
 // ---------------------------------------------------------------------
-// Happy paths: service output === legacy entry points, snapshots stored
+// Happy paths: service output === JustInTime::serve, snapshots stored
 // ---------------------------------------------------------------------
 
 #[test]
-fn new_user_matches_legacy_session_and_stores_snapshot() {
+fn new_user_matches_core_serve_and_stores_snapshot() {
     let system = shared_system();
     let service = fresh_service();
     let response = service
@@ -105,10 +105,8 @@ fn new_user_matches_legacy_session_and_stores_snapshot() {
     assert_eq!(response.report.replayed_time_points, 0);
     assert_eq!(response.report.shards.len(), 1);
 
-    let legacy = system
-        .session(&LendingClubGenerator::john(), &Default::default(), None)
-        .unwrap();
-    assert_eq!(print(&response.users[0].session), print(&legacy));
+    let core = system.serve(&[john_member("x").request.into()], None).unwrap();
+    assert_eq!(print(&response.users[0].session), print(&core[0]));
     // The snapshot landed in the store under the user id.
     assert_eq!(service.store().user_ids().unwrap(), vec!["john"]);
 }
@@ -186,43 +184,73 @@ fn unknown_refresh_id_is_a_typed_error() {
 
 #[test]
 fn per_user_session_errors_carry_the_user_id() {
+    use jit_core::SessionError::{DimensionMismatch, UnknownFeature};
     let service = fresh_service();
-    // Wrong dimension (schema mismatch between profile and system).
-    let err = service
-        .serve(ServeRequest::batch([
-            john_member("fine"),
-            CohortMember::new("short", UserRequest::new(vec![1.0])),
-        ]))
-        .unwrap_err();
-    match err {
-        ServeError::Session { user_id, error } => {
-            assert_eq!(user_id, "short");
-            assert!(matches!(
-                error,
-                jit_core::SessionError::DimensionMismatch { expected: 6, found: 1 }
-            ));
-        }
-        other => panic!("expected Session error, got {other:?}"),
-    }
-    // Unknown feature in preferences.
+    let sharded = ShardedService::from_shared(shared_system(), 2, 0, |_| {
+        Arc::new(MemorySnapshotStore::new())
+    });
+    // A LendingClub profile carrying the update function of the
+    // 8-feature synth/credit schema.
+    let mut foreign = UserRequest::new(LendingClubGenerator::john());
+    foreign.update_fn = Some(jit_temporal::update::TemporalUpdateFn::from_schema(
+        &jit_data::scenario::ScenarioSpec::credit(0).schema(),
+    ));
     let mut prefs = jit_constraints::ConstraintSet::new();
     prefs.add(jit_constraints::builder::feature("fico").ge(700.0));
-    let err = service
-        .serve(ServeRequest::new_user(
-            "bad-prefs",
-            UserRequest {
-                profile: LendingClubGenerator::john(),
-                constraints: prefs,
-                update_fn: None,
-            },
-        ))
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        ServeError::Session { user_id, error: jit_core::SessionError::UnknownFeature(f) }
-            if user_id == "bad-prefs" && f == "fico"
-    ));
-    // Nothing was stored for the failing batch (all-or-nothing).
+    let bad_prefs = UserRequest {
+        profile: LendingClubGenerator::john(),
+        constraints: prefs,
+        update_fn: None,
+    };
+    for tier in [&service as &dyn ServeBackend, &sharded] {
+        // Wrong dimension (schema mismatch between profile and system).
+        let err = tier
+            .serve_wire(ServeRequest::batch([
+                john_member("fine"),
+                CohortMember::new("short", UserRequest::new(vec![1.0])),
+            ]))
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServeError::Session {
+                    user_id,
+                    error: DimensionMismatch { expected: 6, found: 1 },
+                } if user_id == "short"
+            ),
+            "{err:?}"
+        );
+        // An update function built for another schema.
+        let err = tier
+            .serve_wire(ServeRequest::batch([
+                john_member("fine"),
+                CohortMember::new("foreign", foreign.clone()),
+            ]))
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServeError::Session {
+                    user_id,
+                    error: DimensionMismatch { expected: 6, found: 8 },
+                } if user_id == "foreign"
+            ),
+            "{err:?}"
+        );
+        // Unknown feature in preferences.
+        let err = tier
+            .serve_wire(ServeRequest::new_user("bad-prefs", bad_prefs.clone()))
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServeError::Session { user_id, error: UnknownFeature(f) }
+                    if user_id == "bad-prefs" && f == "fico"
+            ),
+            "{err:?}"
+        );
+    }
+    // Nothing was stored for the failing batches (all-or-nothing).
     assert!(service.store().user_ids().unwrap().is_empty());
 }
 
@@ -538,7 +566,7 @@ fn db_store_round_trips_snapshots_bit_exactly() {
             jit_temporal::update::Override::Trajectory(vec![1_500.0, 0.25]),
         )
         .build();
-    let session = system.serve_batch(std::slice::from_ref(&request)).unwrap();
+    let session = system.serve(&[request.into()], None).unwrap();
     let snapshot = session[0].snapshot();
 
     let store = DbSnapshotStore::in_new_database(schema).unwrap();
@@ -559,11 +587,10 @@ fn db_store_round_trips_snapshots_bit_exactly() {
     }
     // ...and re-serving from the loaded snapshot replays like the
     // original (same fingerprints -> full replay, bit-identical output).
-    let from_memory =
-        system.reserve(&jit_core::ReturningUser::unchanged(snapshot)).unwrap();
-    let from_store =
-        system.reserve(&jit_core::ReturningUser::unchanged(loaded)).unwrap();
-    assert_eq!(print(&from_store), print(&from_memory));
+    let returning = |prior| Job::from(jit_core::ReturningUser::unchanged(prior));
+    let warm = system.serve(&[returning(snapshot), returning(loaded)], None).unwrap();
+    let (from_memory, from_store) = (&warm[0], &warm[1]);
+    assert_eq!(print(from_store), print(from_memory));
     assert!(from_store
         .reserve_report()
         .unwrap()

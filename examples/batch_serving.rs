@@ -1,11 +1,11 @@
 //! Batch serving: amortized multi-user sessions with per-user overlays.
 //!
 //! The admin trains once; a whole cohort of rejected applicants is then
-//! served through `JustInTime::serve_batch`, which shares everything
+//! served through one `JustInTime::serve` call, which shares everything
 //! user-independent (per-time-point move hints, the compiled domain
 //! constraints, the DDL-initialized database template) and fans users
 //! out across the deterministic thread pool — with output bit-identical
-//! to serial `session()` calls.
+//! to serving each user alone.
 //!
 //! Run with: `cargo run --release --example batch_serving`
 
@@ -31,11 +31,11 @@ fn main() {
     let config = AdminConfig {
         horizon: 3,
         start_year: 2019,
-        // Fan the batch out one task per user; per-time-point generators
-        // run inline inside each task (the runtime's nested-parallelism
-        // guard keeps the pools from multiplying).
-        batch_parallelism: BatchParallelism::PerUser,
-        batch_threads: 0, // one worker per core
+        // One worker per core. A batch fans out one task per user, and
+        // per-time-point generators run inline inside each task (the
+        // runtime's nested-parallelism guard keeps the pools from
+        // multiplying).
+        threads: 0,
         ..Default::default()
     };
     let system = JustInTime::train(config, gen.schema(), &slices)
@@ -44,12 +44,12 @@ fn main() {
     // ---- Build a cohort of rejected applicants ------------------------
     println!("[2/3] collecting a cohort of rejected 2018 applicants...");
     let present = system.models().first().expect("trained");
-    let mut cohort: Vec<UserRequest> = gen
+    let mut cohort: Vec<Job> = gen
         .records_for_year(2018)
         .into_iter()
         .filter(|r| !present.approves(&r.features))
         .take(6)
-        .map(|r| UserRequest::new(r.features))
+        .map(|r| UserRequest::new(r.features).into())
         .collect();
     // Per-user overlays via the builder: John refuses to touch more than
     // two attributes and plans to clear his debt next year.
@@ -58,14 +58,15 @@ fn main() {
             .session_builder(&LendingClubGenerator::john())
             .constraint(gap().le(2.0))
             .override_feature("debt", Override::Trajectory(vec![0.0]))
-            .build(),
+            .build()
+            .into(),
     );
     println!("      cohort size: {}", cohort.len());
 
     // ---- Serve the whole batch ----------------------------------------
     println!("[3/3] serving the batch...\n");
     let start = std::time::Instant::now();
-    let sessions = system.serve_batch(&cohort).expect("batch serves");
+    let sessions = system.serve(&cohort, None).expect("batch serves");
     let elapsed = start.elapsed().as_secs_f64() * 1000.0;
     for (i, session) in sessions.iter().enumerate() {
         let (conf, approved) = session.present_decision();
@@ -93,10 +94,8 @@ fn main() {
         elapsed / sessions.len() as f64
     );
 
-    // The batch is bit-identical to serial sessions:
-    let serial = system
-        .session(&cohort[0].profile, &cohort[0].constraints, None)
-        .expect("serial session");
-    assert_eq!(serial.candidates().len(), sessions[0].candidates().len());
-    println!("sanity: batch output matches a serial session for user 0");
+    // The batch is bit-identical to serving each user alone:
+    let alone = system.serve(&cohort[..1], None).expect("serve alone");
+    assert_eq!(alone[0].candidates().len(), sessions[0].candidates().len());
+    println!("sanity: batch output matches serving user 0 alone");
 }

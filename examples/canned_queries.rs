@@ -25,9 +25,10 @@ fn main() {
         &slices,
     )
     .expect("training succeeds");
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
+    let sessions = system
+        .serve(&[UserRequest::new(LendingClubGenerator::john()).into()], None)
         .expect("session opens");
+    let session = &sessions[0];
 
     println!(
         "candidates table: {} rows; temporal_inputs: {} rows\n",

@@ -55,18 +55,19 @@ fn main() {
         // Screen 1: Personal Preferences.
         let pref_text = preferences_for(&name);
         println!("preferences: {pref_text}");
-        let mut prefs = ConstraintSet::new();
-        prefs.add(
+        let mut request = UserRequest::new(profile);
+        request.constraints.add(
             jit_constraints::parse_constraint(pref_text).expect("valid preference"),
         );
 
-        let session = match system.session(&profile, &prefs, None) {
+        let sessions = match system.serve(&[request.into()], None) {
             Ok(s) => s,
             Err(e) => {
-                println!("  session failed: {e}");
+                println!("  session failed: {}", e.error);
                 continue;
             }
         };
+        let session = &sessions[0];
         let (conf, approved) = session.present_decision();
         println!(
             "present decision: {} (confidence {:.1}%)",
@@ -98,9 +99,10 @@ fn main() {
     // does when it "examines the execution of a single candidates
     // generator".
     let (_, profile) = &LendingClubGenerator::demo_applicants()[0];
-    let session =
-        system.session(profile, &ConstraintSet::new(), None).expect("session opens");
-    let rs = session
+    let sessions = system
+        .serve(&[UserRequest::new(profile.clone()).into()], None)
+        .expect("session opens");
+    let rs = sessions[0]
         .sql("SELECT time, income, debt, loan_amount, gap, diff, p FROM candidates WHERE time = 0 ORDER BY diff")
         .expect("sql runs");
     println!("{rs}");

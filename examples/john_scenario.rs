@@ -32,8 +32,10 @@ fn main() {
         JustInTime::train(config, gen.schema(), &slices).expect("training succeeds");
 
     let john = LendingClubGenerator::john();
-    let session =
-        system.session(&john, &ConstraintSet::new(), None).expect("session opens");
+    let sessions = system
+        .serve(&[UserRequest::new(john.clone()).into()], None)
+        .expect("session opens");
+    let session = &sessions[0];
     let (conf, approved) = session.present_decision();
     println!(
         "2019: John applies -> {} (confidence {:.1}%)\n",

@@ -43,14 +43,14 @@ fn main() {
     // ---- User side ------------------------------------------------------
     // John, 29, gets rejected today and wants a plan.
     println!("\n[3/4] opening a session for John (29, $45k income, $3.2k/mo debt, $28k loan)...");
-    let john = LendingClubGenerator::john();
-    let mut prefs = ConstraintSet::new();
+    let mut john = UserRequest::new(LendingClubGenerator::john());
     // John cannot raise his income past $60k and wants at most 2 changes.
-    prefs.add(
+    john.constraints.add(
         jit_constraints::parse_constraint("income <= 60000 and gap <= 2")
             .expect("valid constraint"),
     );
-    let session = system.session(&john, &prefs, None).expect("session should open");
+    let sessions = system.serve(&[john.into()], None).expect("session should open");
+    let session = &sessions[0];
     let (conf, approved) = session.present_decision();
     println!(
         "      present decision: {} (confidence {:.1}%)",

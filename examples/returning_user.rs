@@ -54,16 +54,16 @@ fn main() {
         .expect("training should succeed on generated data");
 
     let present = system.models().first().expect("trained");
-    let mut cohort: Vec<UserRequest> = gen
+    let mut cohort: Vec<Job> = gen
         .records_for_year(2016)
         .into_iter()
         .filter(|r| !present.approves(&r.features))
         .take(5)
-        .map(|r| UserRequest::new(r.features))
+        .map(|r| UserRequest::new(r.features).into())
         .collect();
-    cohort.push(UserRequest::new(LendingClubGenerator::john()));
+    cohort.push(UserRequest::new(LendingClubGenerator::john()).into());
 
-    let first_visit = system.serve_batch(&cohort).expect("first visit serves");
+    let first_visit = system.serve(&cohort, None).expect("first visit serves");
     // Snapshots are owned values: store them wherever sessions live.
     let snapshots: Vec<SessionSnapshot> =
         first_visit.iter().map(UserSession::snapshot).collect();
@@ -71,17 +71,17 @@ fn main() {
 
     // ---- Visit 2: nothing changed -------------------------------------
     println!("[2/4] the cohort returns; nothing has drifted...");
-    let returning: Vec<ReturningUser> =
-        snapshots.iter().cloned().map(ReturningUser::unchanged).collect();
+    let returning: Vec<Job> =
+        snapshots.iter().map(|s| ReturningUser::unchanged(s.clone()).into()).collect();
     let start = std::time::Instant::now();
-    let refreshed = system.reserve_batch(&returning).expect("re-serve");
+    let refreshed = system.serve(&returning, None).expect("re-serve");
     let warm_ms = start.elapsed().as_secs_f64() * 1000.0;
     for (i, session) in refreshed.iter().enumerate() {
         report_line(&format!("user {i}"), session);
     }
 
     let start = std::time::Instant::now();
-    let cold = system.serve_batch(&cohort).expect("cold serve");
+    let cold = system.serve(&cohort, None).expect("cold serve");
     let cold_ms = start.elapsed().as_secs_f64() * 1000.0;
     assert_eq!(cold.len(), refreshed.len());
     println!(
@@ -96,7 +96,7 @@ fn main() {
         .session_builder(&LendingClubGenerator::john())
         .constraint_at(2, gap().le(1.0))
         .build_returning(snapshots.last().expect("john's snapshot").clone());
-    let session = system.reserve_batch(&[john]).expect("re-serve John");
+    let session = system.serve(&[john.into()], None).expect("re-serve John");
     report_line("john", &session[0]);
     println!();
 
@@ -105,14 +105,14 @@ fn main() {
     let extended: Vec<Dataset> = (2007..=2018).map(slice_of).collect();
     let drifted = JustInTime::train(config, gen.schema(), &extended)
         .expect("retraining should succeed");
-    let refreshed = drifted.reserve_batch(&returning).expect("re-serve after drift");
+    let refreshed = drifted.serve(&returning, None).expect("re-serve after drift");
     for (i, session) in refreshed.iter().enumerate() {
         report_line(&format!("user {i}"), session);
     }
 
     // The diff never guesses: re-served output is bit-identical to a
     // cold serve on the drifted system.
-    let cold = drifted.serve_batch(&cohort).expect("cold serve after drift");
+    let cold = drifted.serve(&cohort, None).expect("cold serve after drift");
     for (warm, cold) in refreshed.iter().zip(&cold) {
         assert_eq!(warm.candidates().len(), cold.candidates().len());
         for (a, b) in warm.candidates().iter().zip(cold.candidates()) {

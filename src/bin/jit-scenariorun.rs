@@ -170,7 +170,6 @@ fn smoke_config(threads: usize) -> AdminConfig {
             ..Default::default()
         },
         threads,
-        batch_threads: threads,
         ..Default::default()
     }
 }
@@ -191,7 +190,6 @@ fn full_config(threads: usize) -> AdminConfig {
             ..Default::default()
         },
         threads,
-        batch_threads: threads,
         ..Default::default()
     }
 }

@@ -27,21 +27,22 @@
 //! let system =
 //!     JustInTime::train(AdminConfig::default(), gen.schema(), &slices).unwrap();
 //!
-//! // 3. A rejected applicant opens a session with their preferences.
-//! let mut prefs = ConstraintSet::new();
-//! prefs.add(jit_constraints::parse_constraint("income <= 60000 and gap <= 2").unwrap());
-//! let session =
-//!     system.session(&LendingClubGenerator::john(), &prefs, None).unwrap();
+//! // 3. A rejected applicant is served with their preferences.
+//! let mut request = UserRequest::new(LendingClubGenerator::john());
+//! request
+//!     .constraints
+//!     .add(jit_constraints::parse_constraint("income <= 60000 and gap <= 2").unwrap());
+//! let sessions = system.serve(&[Job::from(request)], None).unwrap();
 //!
 //! // 4. Canned questions, answered from the candidates database.
-//! for insight in session.run_all().unwrap() {
+//! for insight in sessions[0].run_all().unwrap() {
 //!     println!("{insight}");
 //! }
 //!
-//! // 5. Serving at scale: the jit-service front end is the one public
-//! //    serving surface — typed requests/errors, snapshot stores, and
-//! //    an in-process sharded dispatcher (bit-identical to the legacy
-//! //    entry points above; see `examples/service_front_end.rs`).
+//! // 5. Serving at scale: the jit-service front end adds typed
+//! //    requests/errors, snapshot stores and an in-process sharded
+//! //    dispatcher (bit-identical to `JustInTime::serve` above; see
+//! //    `examples/service_front_end.rs`).
 //! let service = JitService::in_memory(system);
 //! let cohort = vec![
 //!     CohortMember::new("john", UserRequest::new(LendingClubGenerator::john())),
@@ -75,7 +76,7 @@
 //! |---|---|
 //! | [`jit_math`] | vectors, matrices, Cholesky/ridge, kernels, RNG, content digests |
 //! | [`jit_runtime`] | deterministic scoped thread pool for training |
-//! | [`jit_ml`] | decision trees, random forests, logistic, GBM, metrics |
+//! | [`jit_ml`] | decision trees, random forests, logistic regression, metrics |
 //! | [`jit_data`] | feature schema, drifting Lending-Club generator, scenario registry + deterministic synthetic populations |
 //! | [`jit_constraints`] | the constraints language (diff/gap/confidence), compiled-domain cache |
 //! | [`jit_temporal`] | temporal update fns, EDD future-model prediction |
@@ -102,8 +103,8 @@ pub mod prelude {
         parse_constraint, CompiledDomain, Constraint, ConstraintSet,
     };
     pub use jit_core::{
-        AdminConfig, BatchError, BatchParallelism, CandidateParams, CannedQuery,
-        Insight, JustInTime, Objective, ReturningUser, SessionBuilder, SessionSnapshot,
+        AdminConfig, BatchError, CandidateParams, CannedQuery, Insight, Job,
+        JustInTime, Objective, ReturningUser, SessionBuilder, SessionSnapshot,
         SharedCellCache, TimePointServe, TimelineSearch, UserRequest, UserSession,
     };
     pub use jit_data::{

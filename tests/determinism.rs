@@ -136,9 +136,8 @@ fn end_to_end_candidates_are_bit_identical_across_thread_counts() {
             ..Default::default()
         };
         let system = JustInTime::train(config, &schema, &slices).expect("train");
-        let session = system
-            .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-            .expect("session");
+        let session =
+            serve_alone(&system, UserRequest::new(LendingClubGenerator::john()));
         session
             .candidates()
             .iter()
@@ -153,7 +152,8 @@ fn end_to_end_candidates_are_bit_identical_across_thread_counts() {
 }
 
 // ---------------------------------------------------------------------
-// 1b. Batch serving: serve_batch ≡ serial sessions, for any thread count
+// 1b. Batch serving: one `serve` call ≡ each user served alone, for any
+//     thread count
 // ---------------------------------------------------------------------
 
 type SessionFingerprint = Vec<(usize, Vec<u64>, u64, u64)>;
@@ -173,11 +173,20 @@ fn fingerprint(session: &justintime::jit_core::UserSession<'_>) -> SessionFinger
         .collect()
 }
 
-fn batch_config(batch_threads: usize, policy: BatchParallelism) -> AdminConfig {
+/// Serves one job in a batch of its own.
+fn serve_alone(system: &JustInTime, job: impl Into<Job>) -> UserSession<'_> {
+    system.serve(&[job.into()], None).expect("serve alone").remove(0)
+}
+
+/// First-visit jobs for `requests`.
+fn cold_jobs(requests: &[UserRequest]) -> Vec<Job> {
+    requests.iter().cloned().map(Job::from).collect()
+}
+
+fn batch_config(threads: usize) -> AdminConfig {
     AdminConfig {
         horizon: 2,
-        batch_threads,
-        batch_parallelism: policy,
+        threads,
         future: FutureModelsParams {
             n_landmarks: 20,
             pool_slices: 2,
@@ -211,37 +220,23 @@ fn batch_cohort() -> Vec<UserRequest> {
 #[test]
 fn serve_batch_is_bit_identical_to_serial_sessions_across_threads() {
     let (schema, slices) = lending_slices(120, 4);
-    let cohort = batch_cohort();
+    let cohort = cold_jobs(&batch_cohort());
 
-    // Reference: three serial session() calls on a serially-trained system.
+    // Reference: each job served alone on a serially-trained system.
     let serial_system =
-        JustInTime::train(batch_config(1, BatchParallelism::PerUser), &schema, &slices)
-            .expect("train");
+        JustInTime::train(batch_config(1), &schema, &slices).expect("train");
     let serial: Vec<SessionFingerprint> = cohort
         .iter()
-        .map(|r| {
-            fingerprint(
-                &serial_system
-                    .session(&r.profile, &r.constraints, r.update_fn.clone())
-                    .expect("serial session"),
-            )
-        })
+        .map(|job| fingerprint(&serve_alone(&serial_system, job.clone())))
         .collect();
     assert!(serial.iter().all(|s| !s.is_empty()), "fixture must yield candidates");
 
-    for policy in [BatchParallelism::PerUser, BatchParallelism::PerTimePoint] {
-        for threads in [1usize, 2, 8] {
-            let system =
-                JustInTime::train(batch_config(threads, policy), &schema, &slices)
-                    .expect("train");
-            let batch = system.serve_batch(&cohort).expect("serve_batch");
-            let prints: Vec<SessionFingerprint> =
-                batch.iter().map(fingerprint).collect();
-            assert_eq!(
-                prints, serial,
-                "serve_batch diverged at threads={threads} policy={policy:?}"
-            );
-        }
+    for threads in [1usize, 2, 8] {
+        let system =
+            JustInTime::train(batch_config(threads), &schema, &slices).expect("train");
+        let batch = system.serve(&cohort, None).expect("serve");
+        let prints: Vec<SessionFingerprint> = batch.iter().map(fingerprint).collect();
+        assert_eq!(prints, serial, "batch serve diverged at threads={threads}");
     }
 }
 
@@ -250,20 +245,15 @@ fn batch_overlays_do_not_leak_between_users_at_any_thread_count() {
     let (schema, slices) = lending_slices(120, 4);
     let cohort = batch_cohort();
     for threads in [1usize, 2, 8] {
-        let system = JustInTime::train(
-            batch_config(threads, BatchParallelism::PerUser),
-            &schema,
-            &slices,
-        )
-        .expect("train");
-        let batch = system.serve_batch(&cohort).expect("serve_batch");
+        let system =
+            JustInTime::train(batch_config(threads), &schema, &slices).expect("train");
+        let batch = system.serve(&cold_jobs(&cohort), None).expect("serve");
         // User 1 carries the gap cap; it must bind for them only.
         assert!(batch[1].candidates().iter().all(|c| c.gap <= 1));
-        // Users 0 and 2 must match fresh unconstrained serial sessions.
+        // Users 0 and 2 must match fresh unconstrained sessions.
         for idx in [0usize, 2] {
-            let fresh = system
-                .session(&cohort[idx].profile, &ConstraintSet::new(), None)
-                .expect("session");
+            let fresh =
+                serve_alone(&system, UserRequest::new(cohort[idx].profile.clone()));
             assert_eq!(
                 fingerprint(&batch[idx]),
                 fingerprint(&fresh),
@@ -274,8 +264,9 @@ fn batch_overlays_do_not_leak_between_users_at_any_thread_count() {
 }
 
 // ---------------------------------------------------------------------
-// 1c. Incremental re-serving: reserve_batch ≡ cold serve_batch under
-//     no / partial / full drift, for any thread count and batch policy
+// 1c. Incremental re-serving: returning jobs ≡ a cold serve under
+//     no / partial / full drift, for any thread count, and mixed
+//     batches of new and returning users
 // ---------------------------------------------------------------------
 
 /// The three drift scenarios the fingerprint diff must survive.
@@ -294,103 +285,164 @@ enum Drift {
 fn reserve_batch_is_bit_identical_to_cold_serve_under_drift() {
     use justintime::jit_constraints::builder::gap;
     let (schema, slices) = lending_slices(120, 5);
-    let cohort = batch_cohort();
+    let cohort = cold_jobs(&batch_cohort());
 
     for drift in [Drift::None, Drift::Partial, Drift::Full] {
-        for policy in [BatchParallelism::PerUser, BatchParallelism::PerTimePoint] {
-            for threads in [1usize, 2, 8] {
-                let mut config = batch_config(threads, policy);
-                config.threads = threads;
-                let before = JustInTime::train(config.clone(), &schema, &slices[..4])
-                    .expect("train before");
-                let priors: Vec<SessionSnapshot> = before
-                    .serve_batch(&cohort)
-                    .expect("serve before")
-                    .iter()
-                    .map(UserSession::snapshot)
-                    .collect();
+        for threads in [1usize, 2, 8] {
+            let config = batch_config(threads);
+            let before = JustInTime::train(config.clone(), &schema, &slices[..4])
+                .expect("train before");
+            let priors: Vec<SessionSnapshot> = before
+                .serve(&cohort, None)
+                .expect("serve before")
+                .iter()
+                .map(UserSession::snapshot)
+                .collect();
 
-                // The system and requests the user returns to/with.
-                let after;
-                let current = match drift {
-                    Drift::Full => {
-                        after = JustInTime::train(config.clone(), &schema, &slices)
-                            .expect("train after");
-                        &after
+            // The system and requests the user returns to/with.
+            let after;
+            let current = match drift {
+                Drift::Full => {
+                    after = JustInTime::train(config.clone(), &schema, &slices)
+                        .expect("train after");
+                    &after
+                }
+                _ => &before,
+            };
+            let returning: Vec<Job> = priors
+                .iter()
+                .map(|prior| match drift {
+                    Drift::Partial => {
+                        let mut request = prior.request.clone();
+                        request.constraints.add_at(1, gap().le(1.0));
+                        ReturningUser::with_request(prior.clone(), request).into()
                     }
-                    _ => &before,
-                };
-                let returning: Vec<ReturningUser> = priors
-                    .iter()
-                    .map(|prior| match drift {
-                        Drift::Partial => {
-                            let mut request = prior.request.clone();
-                            request.constraints.add_at(1, gap().le(1.0));
-                            ReturningUser::with_request(prior.clone(), request)
-                        }
-                        _ => ReturningUser::unchanged(prior.clone()),
-                    })
-                    .collect();
+                    _ => ReturningUser::unchanged(prior.clone()).into(),
+                })
+                .collect();
 
-                let warm = current.reserve_batch(&returning).expect("reserve");
-                // Reference: cold serve of the same requests on the
-                // current system.
-                let requests: Vec<UserRequest> =
-                    returning.iter().map(|r| r.request.clone()).collect();
-                let cold = current.serve_batch(&requests).expect("cold serve");
-                let warm_prints: Vec<SessionFingerprint> =
-                    warm.iter().map(fingerprint).collect();
-                let cold_prints: Vec<SessionFingerprint> =
-                    cold.iter().map(fingerprint).collect();
-                assert_eq!(
-                    warm_prints, cold_prints,
-                    "reserve diverged (threads={threads} policy={policy:?})"
-                );
+            let warm = current.serve(&returning, None).expect("reserve");
+            // Reference: cold serve of the same requests on the current
+            // system.
+            let requests: Vec<UserRequest> =
+                returning.iter().map(|job| job.request.clone()).collect();
+            let cold = current.serve(&cold_jobs(&requests), None).expect("cold serve");
+            let warm_prints: Vec<SessionFingerprint> =
+                warm.iter().map(fingerprint).collect();
+            let cold_prints: Vec<SessionFingerprint> =
+                cold.iter().map(fingerprint).collect();
+            assert_eq!(
+                warm_prints, cold_prints,
+                "reserve diverged (threads={threads})"
+            );
 
-                // Provenance must reflect the drift exactly.
-                for session in &warm {
-                    let report = session.reserve_report().expect("reserved session");
-                    match drift {
-                        Drift::None => {
-                            assert!(report
-                                .iter()
-                                .all(|o| *o == TimePointServe::Replayed));
-                        }
-                        Drift::Partial => {
-                            assert_eq!(
-                                report,
-                                &[
-                                    TimePointServe::Replayed,
-                                    TimePointServe::Recomputed,
-                                    TimePointServe::Replayed,
-                                ][..]
-                            );
-                        }
-                        Drift::Full => {
-                            assert!(report
-                                .iter()
-                                .all(|o| *o == TimePointServe::Recomputed));
-                        }
+            // Provenance must reflect the drift exactly.
+            for session in &warm {
+                let report = session.reserve_report().expect("reserved session");
+                match drift {
+                    Drift::None => {
+                        assert!(report.iter().all(|o| *o == TimePointServe::Replayed));
+                    }
+                    Drift::Partial => {
+                        assert_eq!(
+                            report,
+                            &[
+                                TimePointServe::Replayed,
+                                TimePointServe::Recomputed,
+                                TimePointServe::Replayed,
+                            ][..]
+                        );
+                    }
+                    Drift::Full => {
+                        assert!(report
+                            .iter()
+                            .all(|o| *o == TimePointServe::Recomputed));
                     }
                 }
-                // Replayed sessions still serve queries from a rebuilt DB.
-                let rs = warm[0]
-                    .sql("SELECT COUNT(*) FROM candidates")
-                    .expect("rebuilt database answers SQL");
-                assert_eq!(
-                    rs.scalar().unwrap().as_i64(),
-                    Some(warm[0].candidates().len() as i64)
-                );
             }
+            // Replayed sessions still serve queries from a rebuilt DB.
+            let rs = warm[0]
+                .sql("SELECT COUNT(*) FROM candidates")
+                .expect("rebuilt database answers SQL");
+            assert_eq!(
+                rs.scalar().unwrap().as_i64(),
+                Some(warm[0].candidates().len() as i64)
+            );
         }
     }
 }
 
+/// Canonical wire bytes of served sessions: every snapshot bit (request,
+/// temporal inputs, candidates, fingerprints) plus provenance.
+fn sessions_bytes(sessions: &[UserSession<'_>]) -> Vec<u8> {
+    let users = sessions
+        .iter()
+        .map(|s| wire::WireServedUser {
+            user_id: String::new(),
+            snapshot: s.snapshot(),
+            provenance: s.reserve_report().map(<[_]>::to_vec),
+        })
+        .collect();
+    wire::response_bytes(&WireResponse { users, report: WireReport::default() })
+}
+
+#[test]
+fn mixed_batches_of_new_and_returning_users_match_serving_each_alone() {
+    use justintime::jit_constraints::builder::gap;
+    let (schema, slices) = lending_slices(120, 4);
+    let requests = batch_cohort();
+    for threads in [1usize, 2] {
+        let system =
+            JustInTime::train(batch_config(threads), &schema, &slices).expect("train");
+        let priors: Vec<SessionSnapshot> = system
+            .serve(&cold_jobs(&requests), None)
+            .expect("first visit")
+            .iter()
+            .map(UserSession::snapshot)
+            .collect();
+        let mut updated = requests[0].clone();
+        updated.constraints.add_at(1, gap().le(1.0));
+        // Cold, returning unchanged, returning updated, cold, returning
+        // unchanged: every kind of job, interleaved.
+        let jobs: Vec<Job> = vec![
+            requests[2].clone().into(),
+            ReturningUser::unchanged(priors[1].clone()).into(),
+            ReturningUser::with_request(priors[0].clone(), updated).into(),
+            requests[1].clone().into(),
+            ReturningUser::unchanged(priors[2].clone()).into(),
+        ];
+        let alone: Vec<UserSession<'_>> =
+            jobs.iter().map(|job| serve_alone(&system, job.clone())).collect();
+        let expected = sessions_bytes(&alone);
+        for cache in [None, Some(Arc::new(SharedCellCache::new()))] {
+            let batch = system.serve(&jobs, cache.as_ref()).expect("mixed batch");
+            assert_eq!(
+                sessions_bytes(&batch),
+                expected,
+                "threads={threads} cache={}",
+                cache.is_some()
+            );
+            for (job, session) in jobs.iter().zip(&batch) {
+                assert_eq!(session.reserve_report().is_some(), job.prior.is_some());
+            }
+        }
+        // The updated returning user replays t = 0 and t = 2 only.
+        assert_eq!(
+            alone[2].reserve_report().expect("returning"),
+            &[
+                TimePointServe::Replayed,
+                TimePointServe::Recomputed,
+                TimePointServe::Replayed
+            ]
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
-// 1d. The service front end: ShardedService ≡ JitService ≡ the legacy
-//     serve_batch/reserve_batch paths, for any shard count, thread
-//     count and batch policy; persisted snapshots reproduce re-serves
-//     after the in-memory system is gone
+// 1d. The service front end: ShardedService ≡ JitService ≡
+//     `JustInTime::serve`, for any shard count and thread count;
+//     persisted snapshots reproduce re-serves after the in-memory
+//     system is gone
 // ---------------------------------------------------------------------
 
 use std::sync::Arc;
@@ -410,83 +462,75 @@ fn sharded_service_is_bit_identical_to_single_shard_and_legacy_paths() {
     let requests: Vec<UserRequest> =
         members.iter().map(|m| m.request.clone()).collect();
 
-    // Reference: the legacy batch path on a serially-configured system.
+    // Reference: the core batch path on a serially-configured system.
     let reference_system =
-        JustInTime::train(batch_config(1, BatchParallelism::PerUser), &schema, &slices)
-            .expect("train");
+        JustInTime::train(batch_config(1), &schema, &slices).expect("train");
     let reference: Vec<SessionFingerprint> = reference_system
-        .serve_batch(&requests)
-        .expect("legacy serve_batch")
+        .serve(&cold_jobs(&requests), None)
+        .expect("core serve")
         .iter()
         .map(fingerprint)
         .collect();
     assert!(reference.iter().all(|s| !s.is_empty()), "fixture must yield candidates");
 
-    for policy in [BatchParallelism::PerUser, BatchParallelism::PerTimePoint] {
-        for threads in [1usize, 2, 8] {
-            let system =
-                JustInTime::train(batch_config(threads, policy), &schema, &slices)
-                    .expect("train");
-            let system = Arc::new(system);
+    for threads in [1usize, 2, 8] {
+        let system =
+            JustInTime::train(batch_config(threads), &schema, &slices).expect("train");
+        let system = Arc::new(system);
 
-            // Single service == legacy path.
-            let service = JitService::with_shared(
+        // Single service == core path.
+        let service = JitService::with_shared(
+            Arc::clone(&system),
+            Arc::new(MemorySnapshotStore::new()),
+        );
+        let response =
+            service.serve(ServeRequest::batch(members.clone())).expect("service serve");
+        let service_prints: Vec<SessionFingerprint> =
+            response.users.iter().map(|u| fingerprint(&u.session)).collect();
+        assert_eq!(
+            service_prints, reference,
+            "JitService diverged (threads={threads})"
+        );
+        drop(response);
+
+        // Sharded == single shard, for every shard count.
+        for shards in [1usize, 2, 4, 8] {
+            let sharded = ShardedService::from_shared(
                 Arc::clone(&system),
-                Arc::new(MemorySnapshotStore::new()),
+                shards,
+                threads,
+                |_| Arc::new(MemorySnapshotStore::new()),
             );
-            let response = service
+            let response = sharded
                 .serve(ServeRequest::batch(members.clone()))
-                .expect("service serve");
-            let service_prints: Vec<SessionFingerprint> =
+                .expect("sharded serve");
+            let prints: Vec<SessionFingerprint> =
                 response.users.iter().map(|u| fingerprint(&u.session)).collect();
             assert_eq!(
-                service_prints, reference,
-                "JitService diverged (threads={threads} policy={policy:?})"
+                prints, reference,
+                "ShardedService diverged (shards={shards} threads={threads})"
             );
-            drop(response);
+            // Request order is preserved exactly.
+            let ids: Vec<&str> =
+                response.users.iter().map(|u| u.user_id.as_str()).collect();
+            assert_eq!(ids, vec!["user-0", "user-1", "user-2"]);
 
-            // Sharded == single shard, for every shard count.
-            for shards in [1usize, 2, 4, 8] {
-                let sharded = ShardedService::from_shared(
-                    Arc::clone(&system),
-                    shards,
-                    threads,
-                    |_| Arc::new(MemorySnapshotStore::new()),
-                );
-                let response = sharded
-                    .serve(ServeRequest::batch(members.clone()))
-                    .expect("sharded serve");
-                let prints: Vec<SessionFingerprint> =
-                    response.users.iter().map(|u| fingerprint(&u.session)).collect();
-                assert_eq!(
-                    prints, reference,
-                    "ShardedService diverged (shards={shards} threads={threads} \
-                     policy={policy:?})"
-                );
-                // Request order is preserved exactly.
-                let ids: Vec<&str> =
-                    response.users.iter().map(|u| u.user_id.as_str()).collect();
-                assert_eq!(ids, vec!["user-0", "user-1", "user-2"]);
-
-                // And the refresh path (per-shard snapshot stores) is
-                // bit-identical to the legacy reserve_batch.
-                let refreshed = sharded
-                    .serve(ServeRequest::refresh(
-                        members.iter().map(|m| m.user_id.clone()),
-                    ))
-                    .expect("sharded refresh");
-                let warm_prints: Vec<SessionFingerprint> =
-                    refreshed.users.iter().map(|u| fingerprint(&u.session)).collect();
-                assert_eq!(
-                    warm_prints, reference,
-                    "sharded refresh diverged (shards={shards} threads={threads})"
-                );
-                assert_eq!(
-                    refreshed.report.replayed_time_points,
-                    3 * requests.len(),
-                    "no drift: every time point replays"
-                );
-            }
+            // And the refresh path (per-shard snapshot stores) is
+            // bit-identical to serving the returning users directly.
+            let refreshed = sharded
+                .serve(ServeRequest::refresh(members.iter().map(|m| m.user_id.clone())))
+                .expect("sharded refresh");
+            let warm_prints: Vec<SessionFingerprint> =
+                refreshed.users.iter().map(|u| fingerprint(&u.session)).collect();
+            assert_eq!(
+                warm_prints, reference,
+                "sharded refresh diverged (shards={shards} threads={threads})"
+            );
+            assert_eq!(
+                refreshed.report.replayed_time_points,
+                3 * requests.len(),
+                "no drift: every time point replays"
+            );
         }
     }
 }
@@ -495,7 +539,7 @@ fn sharded_service_is_bit_identical_to_single_shard_and_legacy_paths() {
 fn db_persisted_snapshots_reproduce_the_reserve_after_the_system_is_dropped() {
     let (schema, slices) = lending_slices(120, 5);
     let members = service_cohort();
-    let config = batch_config(2, BatchParallelism::PerUser);
+    let config = batch_config(2);
 
     // First life: train, serve through a jit-db-backed store, record
     // the in-memory reserve under drift (retrain on extended history).
@@ -521,10 +565,10 @@ fn db_persisted_snapshots_reproduce_the_reserve_after_the_system_is_dropped() {
         // The drifted system the users will return to.
         let after =
             JustInTime::train(config.clone(), &schema, &slices).expect("train after");
-        let returning: Vec<ReturningUser> =
-            snapshots.into_iter().map(ReturningUser::unchanged).collect();
+        let returning: Vec<Job> =
+            snapshots.into_iter().map(|s| ReturningUser::unchanged(s).into()).collect();
         reference_warm = after
-            .reserve_batch(&returning)
+            .serve(&returning, None)
             .expect("in-memory reserve")
             .iter()
             .map(fingerprint)
@@ -562,8 +606,8 @@ fn db_persisted_snapshots_reproduce_the_reserve_after_the_system_is_dropped() {
 // ---------------------------------------------------------------------
 // 1e. The networked tier: NetClient → NetServer → ProcessShardBackend →
 //     N × jit-shardd OS processes is bit-identical to in-process
-//     serving, for 1/2/4 shard processes, both batch policies, and all
-//     of cold / returning-inline / refresh-from-store workloads. The
+//     serving, for 1/2/4 shard processes and all of cold /
+//     returning-inline / refresh-from-store workloads. The
 //     comparison basis is the canonical response encoding
 //     (`wire::response_bytes`), which is shard-count-invariant.
 // ---------------------------------------------------------------------
@@ -625,61 +669,56 @@ fn networked_tier_is_bit_identical_to_in_process_serving() {
     let shardd = std::path::PathBuf::from(env!("CARGO_BIN_EXE_jit-shardd"));
     let data = DataSpec { records_per_year: 120, n_years: 4, ..Default::default() };
 
-    for policy in [BatchParallelism::PerUser, BatchParallelism::PerTimePoint] {
-        let spec = TrainSpec { data, config: batch_config(2, policy) };
-        let schema = spec.schema();
-        let members = net_cohort(&schema);
+    let spec = TrainSpec { data, config: batch_config(2) };
+    let schema = spec.schema();
+    let members = net_cohort(&schema);
 
-        // Reference: one unsharded in-process service over the same
-        // spec (shard workers train from the identical bytes).
-        let system = Arc::new(spec.train().expect("train reference"));
-        let service = JitService::with_shared(
-            Arc::clone(&system),
-            Arc::new(MemorySnapshotStore::new()),
-        );
-        let reference = run_workload(&members, |request| {
-            WireResponse::from_response(&service.serve(request).expect("reference"))
-        });
-        assert!(
-            !reference.iter().any(Vec::is_empty),
-            "fixture must produce non-empty responses"
-        );
+    // Reference: one unsharded in-process service over the same
+    // spec (shard workers train from the identical bytes).
+    let system = Arc::new(spec.train().expect("train reference"));
+    let service = JitService::with_shared(
+        Arc::clone(&system),
+        Arc::new(MemorySnapshotStore::new()),
+    );
+    let reference = run_workload(&members, |request| {
+        WireResponse::from_response(&service.serve(request).expect("reference"))
+    });
+    assert!(
+        !reference.iter().any(Vec::is_empty),
+        "fixture must produce non-empty responses"
+    );
 
-        // In-process sharded dispatcher agrees (sanity anchor for the
-        // cross-process comparison below).
-        let sharded = ShardedService::from_shared(Arc::clone(&system), 2, 2, |_| {
-            Arc::new(MemorySnapshotStore::new())
-        });
-        let in_process = run_workload(&members, |request| {
-            WireResponse::from_response(&sharded.serve(request).expect("sharded"))
-        });
-        assert_eq!(in_process, reference, "in-process shards diverged ({policy:?})");
+    // In-process sharded dispatcher agrees (sanity anchor for the
+    // cross-process comparison below).
+    let sharded = ShardedService::from_shared(Arc::clone(&system), 2, 2, |_| {
+        Arc::new(MemorySnapshotStore::new())
+    });
+    let in_process = run_workload(&members, |request| {
+        WireResponse::from_response(&sharded.serve(request).expect("sharded"))
+    });
+    assert_eq!(in_process, reference, "in-process shards diverged");
 
-        // The real thing: TCP client → server → shard OS processes.
-        for shards in [1usize, 2, 4] {
-            let backend = ProcessShardBackend::spawn(
-                spec.clone(),
-                ProcessShardConfig::new(&shardd, shards),
-                |_| Arc::new(MemorySnapshotStore::new()),
-            )
-            .expect("spawn shard processes");
-            let server = NetServer::bind(
-                Arc::new(backend),
-                "127.0.0.1:0",
-                NetServerConfig::default(),
-            )
-            .expect("bind loopback");
-            let mut client =
-                NetClient::connect(server.addr(), schema.clone()).expect("connect");
-            let networked = run_workload(&members, |request| {
-                client.serve(request).expect("networked serve")
-            });
-            assert_eq!(
-                networked, reference,
-                "networked tier diverged (shards={shards} policy={policy:?})"
-            );
-            server.shutdown();
-        }
+    // The real thing: TCP client → server → shard OS processes.
+    for shards in [1usize, 2, 4] {
+        let backend = ProcessShardBackend::spawn(
+            spec.clone(),
+            ProcessShardConfig::new(&shardd, shards),
+            |_| Arc::new(MemorySnapshotStore::new()),
+        )
+        .expect("spawn shard processes");
+        let server = NetServer::bind(
+            Arc::new(backend),
+            "127.0.0.1:0",
+            NetServerConfig::default(),
+        )
+        .expect("bind loopback");
+        let mut client =
+            NetClient::connect(server.addr(), schema.clone()).expect("connect");
+        let networked = run_workload(&members, |request| {
+            client.serve(request).expect("networked serve")
+        });
+        assert_eq!(networked, reference, "networked tier diverged (shards={shards})");
+        server.shutdown();
     }
 }
 
@@ -699,100 +738,89 @@ fn shared_cell_cache_is_bit_identical_warm_and_across_generations() {
     let requests: Vec<UserRequest> =
         members.iter().map(|m| m.request.clone()).collect();
 
-    for policy in [BatchParallelism::PerUser, BatchParallelism::PerTimePoint] {
-        for threads in [1usize, 2, 8] {
-            let config = batch_config(threads, policy);
-            let before = Arc::new(
-                JustInTime::train(config.clone(), &schema, &slices[..4])
-                    .expect("train before"),
+    for threads in [1usize, 2, 8] {
+        let config = batch_config(threads);
+        let before = Arc::new(
+            JustInTime::train(config.clone(), &schema, &slices[..4])
+                .expect("train before"),
+        );
+        // Partial drift: t = 0 keeps the prior generation's model
+        // (and fingerprint), t = 1..=2 retrain on extended history.
+        let after = Arc::new(
+            before
+                .retrain_pinned(&slices, &[true, false, false])
+                .expect("retrain pinned"),
+        );
+        // Cold references: the core batch path on each generation,
+        // no shared cache anywhere.
+        let cold_before: Vec<SessionFingerprint> = before
+            .serve(&cold_jobs(&requests), None)
+            .expect("cold before")
+            .iter()
+            .map(fingerprint)
+            .collect();
+        let cold_after: Vec<SessionFingerprint> = after
+            .serve(&cold_jobs(&requests), None)
+            .expect("cold after")
+            .iter()
+            .map(fingerprint)
+            .collect();
+        assert!(cold_before.iter().all(|s| !s.is_empty()));
+
+        for shards in [1usize, 2, 4] {
+            let sharded = ShardedService::from_shared(
+                Arc::clone(&before),
+                shards,
+                threads,
+                |_| Arc::new(MemorySnapshotStore::new()),
             );
-            // Partial drift: t = 0 keeps the prior generation's model
-            // (and fingerprint), t = 1..=2 retrain on extended history.
-            let after = Arc::new(
-                before
-                    .retrain_pinned(&slices, &[true, false, false])
-                    .expect("retrain pinned"),
-            );
-            // Cold references: the legacy per-user-cache batch path on
-            // each generation, no shared cache anywhere.
-            let cold_before: Vec<SessionFingerprint> = before
-                .serve_batch(&requests)
-                .expect("cold before")
-                .iter()
-                .map(fingerprint)
-                .collect();
-            let cold_after: Vec<SessionFingerprint> = after
-                .serve_batch(&requests)
-                .expect("cold after")
-                .iter()
-                .map(fingerprint)
-                .collect();
-            assert!(cold_before.iter().all(|s| !s.is_empty()));
-
-            for shards in [1usize, 2, 4] {
-                let sharded = ShardedService::from_shared(
-                    Arc::clone(&before),
-                    shards,
-                    threads,
-                    |_| Arc::new(MemorySnapshotStore::new()),
-                );
-                // First batch populates the per-shard shared caches;
-                // the second runs entirely against warm caches. Both
-                // must equal the cache-free cold reference.
-                for pass in ["cold", "warm"] {
-                    let response = sharded
-                        .serve(ServeRequest::batch(members.clone()))
-                        .expect("serve");
-                    let prints: Vec<SessionFingerprint> = response
-                        .users
-                        .iter()
-                        .map(|u| fingerprint(&u.session))
-                        .collect();
-                    assert_eq!(
-                        prints, cold_before,
-                        "{pass} shared-cache pass diverged (shards={shards} \
-                         threads={threads} policy={policy:?})"
-                    );
-                }
-
-                // Generation handover: stores and caches carry over,
-                // non-surviving model slots are dropped, the pinned
-                // t = 0 slot stays warm.
-                let next = ShardedService::next_generation(
-                    Arc::clone(&after),
-                    threads,
-                    &sharded,
-                );
-                let refreshed = next
-                    .serve(ServeRequest::refresh(
-                        members.iter().map(|m| m.user_id.clone()),
-                    ))
-                    .expect("refresh across generations");
-                let prints: Vec<SessionFingerprint> =
-                    refreshed.users.iter().map(|u| fingerprint(&u.session)).collect();
-                assert_eq!(
-                    prints, cold_after,
-                    "post-handover refresh diverged (shards={shards} \
-                     threads={threads} policy={policy:?})"
-                );
-                // Provenance: the pinned time point replays, the two
-                // drifted ones recompute.
-                assert_eq!(refreshed.report.replayed_time_points, members.len());
-                assert_eq!(refreshed.report.recomputed_time_points, 2 * members.len());
-
-                // A cold batch on the handed-over (warm-cache) service
-                // still equals the fresh-system reference.
-                let response = next
-                    .serve(ServeRequest::batch(members.clone()))
-                    .expect("serve next generation");
+            // First batch populates the per-shard shared caches;
+            // the second runs entirely against warm caches. Both
+            // must equal the cache-free cold reference.
+            for pass in ["cold", "warm"] {
+                let response =
+                    sharded.serve(ServeRequest::batch(members.clone())).expect("serve");
                 let prints: Vec<SessionFingerprint> =
                     response.users.iter().map(|u| fingerprint(&u.session)).collect();
                 assert_eq!(
-                    prints, cold_after,
-                    "next-generation batch diverged (shards={shards} \
-                     threads={threads} policy={policy:?})"
+                    prints, cold_before,
+                    "{pass} shared-cache pass diverged (shards={shards} \
+                     threads={threads})"
                 );
             }
+
+            // Generation handover: stores and caches carry over,
+            // non-surviving model slots are dropped, the pinned
+            // t = 0 slot stays warm.
+            let next =
+                ShardedService::next_generation(Arc::clone(&after), threads, &sharded);
+            let refreshed = next
+                .serve(ServeRequest::refresh(members.iter().map(|m| m.user_id.clone())))
+                .expect("refresh across generations");
+            let prints: Vec<SessionFingerprint> =
+                refreshed.users.iter().map(|u| fingerprint(&u.session)).collect();
+            assert_eq!(
+                prints, cold_after,
+                "post-handover refresh diverged (shards={shards} \
+                 threads={threads})"
+            );
+            // Provenance: the pinned time point replays, the two
+            // drifted ones recompute.
+            assert_eq!(refreshed.report.replayed_time_points, members.len());
+            assert_eq!(refreshed.report.recomputed_time_points, 2 * members.len());
+
+            // A cold batch on the handed-over (warm-cache) service
+            // still equals the fresh-system reference.
+            let response = next
+                .serve(ServeRequest::batch(members.clone()))
+                .expect("serve next generation");
+            let prints: Vec<SessionFingerprint> =
+                response.users.iter().map(|u| fingerprint(&u.session)).collect();
+            assert_eq!(
+                prints, cold_after,
+                "next-generation batch diverged (shards={shards} \
+                 threads={threads})"
+            );
         }
     }
 }
@@ -802,7 +830,7 @@ fn refresh_ahead_replays_byte_identically_and_pre_warms_returning_users() {
     let (schema, slices) = lending_slices(120, 5);
     let members = service_cohort();
     let ids: Vec<String> = members.iter().map(|m| m.user_id.clone()).collect();
-    let config = batch_config(2, BatchParallelism::PerUser);
+    let config = batch_config(2);
     let before = Arc::new(
         JustInTime::train(config, &schema, &slices[..4]).expect("train before"),
     );
@@ -1150,16 +1178,14 @@ fn session_fingerprints_are_stable_across_retrains_on_identical_data() {
     // retrained from the same bytes stamps the same fingerprints, so a
     // snapshot taken before the retrain replays entirely.
     let (schema, slices) = lending_slices(120, 4);
-    let config = batch_config(1, BatchParallelism::PerUser);
+    let config = batch_config(1);
     let first = JustInTime::train(config.clone(), &schema, &slices).expect("train");
-    let request = UserRequest::new(LendingClubGenerator::john());
     let prior =
-        first.serve_batch(std::slice::from_ref(&request)).expect("serve")[0].snapshot();
+        serve_alone(&first, UserRequest::new(LendingClubGenerator::john())).snapshot();
 
     let retrained = JustInTime::train(config, &schema, &slices).expect("retrain");
-    let warm =
-        retrained.reserve_batch(&[ReturningUser::unchanged(prior)]).expect("reserve");
-    assert!(warm[0]
+    let warm = serve_alone(&retrained, ReturningUser::unchanged(prior));
+    assert!(warm
         .reserve_report()
         .expect("reserved session")
         .iter()

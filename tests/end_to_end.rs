@@ -39,16 +39,21 @@ fn small_system(horizon: usize, seed_bump: u64) -> (LendingClubGenerator, JustIn
     (gen, system)
 }
 
+fn john() -> UserRequest {
+    UserRequest::new(LendingClubGenerator::john())
+}
+
+/// Serves one request in a batch of its own.
+fn serve_alone(system: &JustInTime, request: UserRequest) -> UserSession<'_> {
+    system.serve(&[request.into()], None).unwrap().remove(0)
+}
+
 #[test]
 fn pipeline_is_deterministic_under_fixed_seed() {
     let (_, system_a) = small_system(2, 1);
     let (_, system_b) = small_system(2, 1);
-    let sa = system_a
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
-    let sb = system_b
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let sa = serve_alone(&system_a, john());
+    let sb = serve_alone(&system_b, john());
     assert_eq!(sa.candidates().len(), sb.candidates().len());
     for (a, b) in sa.candidates().iter().zip(sb.candidates()) {
         assert_eq!(a.profile, b.profile);
@@ -60,9 +65,7 @@ fn pipeline_is_deterministic_under_fixed_seed() {
 #[test]
 fn canned_answers_consistent_with_brute_force_scan() {
     let (_, system) = small_system(3, 2);
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let session = serve_alone(&system, john());
     let cands = session.candidates();
 
     // Q1: min time with diff = 0, recomputed by hand over the candidates.
@@ -94,9 +97,7 @@ fn canned_answers_consistent_with_brute_force_scan() {
 fn every_candidate_row_satisfies_definition_ii3() {
     // Definition II.3: x' ∈ C(x) and M(x') > delta.
     let (_, system) = small_system(2, 3);
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let session = serve_alone(&system, john());
     for cand in session.candidates() {
         let model = &system.models()[cand.time_index];
         let p = model.model.predict_proba(&cand.profile);
@@ -112,14 +113,14 @@ fn every_candidate_row_satisfies_definition_ii3() {
 #[test]
 fn user_constraint_round_trip_through_parser_and_search() {
     let (_, system) = small_system(2, 4);
-    let mut prefs = ConstraintSet::new();
-    prefs.add(
+    let mut request = john();
+    request.constraints.add(
         jit_constraints::parse_constraint(
             "debt >= 500 and gap <= 2 and diff <= 100000",
         )
         .unwrap(),
     );
-    let session = system.session(&LendingClubGenerator::john(), &prefs, None).unwrap();
+    let session = serve_alone(&system, request);
     for cand in session.candidates() {
         assert!(cand.profile[3] >= 500.0 - 1e-9, "debt floor violated");
         assert!(cand.gap <= 2, "gap cap violated");
@@ -130,9 +131,7 @@ fn user_constraint_round_trip_through_parser_and_search() {
 #[test]
 fn insights_cover_all_six_queries_and_mention_years() {
     let (_, system) = small_system(2, 5);
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let session = serve_alone(&system, john());
     let insights = session.run_all().unwrap();
     assert_eq!(insights.len(), 6);
     let ids: Vec<&str> = insights.iter().map(|i| i.query_id.as_str()).collect();
@@ -170,7 +169,7 @@ fn future_models_approve_more_typical_profiles_than_extremes() {
 fn temporal_inputs_written_to_db_match_update_fn() {
     let (_, system) = small_system(3, 7);
     let john = LendingClubGenerator::john();
-    let session = system.session(&john, &ConstraintSet::new(), None).unwrap();
+    let session = serve_alone(&system, UserRequest::new(john.clone()));
     let update = system.default_update_fn();
     let rs = session
         .sql("SELECT time, age, income FROM temporal_inputs ORDER BY time")
@@ -187,9 +186,7 @@ fn temporal_inputs_written_to_db_match_update_fn() {
 #[test]
 fn expert_sql_joins_candidates_and_inputs() {
     let (_, system) = small_system(2, 8);
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let session = serve_alone(&system, john());
     // The Fig. 2 Q3 join must run against real generated tables.
     let q3 = CannedQuery::DominantFeature { feature: "debt".to_string() };
     let rs = session.sql(&q3.sql()).unwrap();

@@ -40,6 +40,15 @@ fn tiny_config(horizon: usize) -> AdminConfig {
     }
 }
 
+fn john() -> UserRequest {
+    UserRequest::new(LendingClubGenerator::john())
+}
+
+/// Serves one request in a batch of its own.
+fn serve_alone(system: &JustInTime, request: UserRequest) -> UserSession<'_> {
+    system.serve(&[request.into()], None).unwrap().remove(0)
+}
+
 #[test]
 fn training_on_no_slices_errors() {
     let (schema, _) = tiny_slices(1, 10);
@@ -67,9 +76,7 @@ fn horizon_zero_works() {
     let (schema, slices) = tiny_slices(3, 60);
     let system = JustInTime::train(tiny_config(0), &schema, &slices).unwrap();
     assert_eq!(system.models().len(), 1);
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let session = serve_alone(&system, john());
     assert_eq!(session.temporal_inputs().len(), 1);
     // All six queries still run (answers may be empty/negative).
     let insights = session.run_all().unwrap();
@@ -81,9 +88,7 @@ fn tiny_slices_still_train() {
     // 12 records per year is pathological but must not panic.
     let (schema, slices) = tiny_slices(4, 12);
     let system = JustInTime::train(tiny_config(1), &schema, &slices).unwrap();
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let session = serve_alone(&system, john());
     let _ = session.run_all().unwrap();
 }
 
@@ -91,12 +96,12 @@ fn tiny_slices_still_train() {
 fn contradictory_user_constraints_yield_empty_candidates() {
     let (schema, slices) = tiny_slices(3, 60);
     let system = JustInTime::train(tiny_config(1), &schema, &slices).unwrap();
-    let mut prefs = ConstraintSet::new();
+    let mut request = john();
     // income must be both huge and tiny: unsatisfiable.
-    prefs.add(
+    request.constraints.add(
         jit_constraints::parse_constraint("income >= 1000000 and income <= 1").unwrap(),
     );
-    let session = system.session(&LendingClubGenerator::john(), &prefs, None).unwrap();
+    let session = serve_alone(&system, request);
     assert!(session.candidates().is_empty());
     // Queries still answer (negatively) instead of erroring.
     let insights = session.run_all().unwrap();
@@ -110,7 +115,7 @@ fn profile_at_schema_bounds_is_handled() {
     // Maximal-age applicant: temporal update clamps, search never leaves
     // the domain.
     let extreme = vec![100.0, 1.0, 2_000_000.0, 100_000.0, 60.0, 100_000.0];
-    let session = system.session(&extreme, &ConstraintSet::new(), None).unwrap();
+    let session = serve_alone(&system, UserRequest::new(extreme));
     for inputs in session.temporal_inputs() {
         assert!(schema.row_in_bounds(inputs));
     }
@@ -123,9 +128,7 @@ fn profile_at_schema_bounds_is_handled() {
 fn malformed_sql_from_expert_is_an_error_not_a_panic() {
     let (schema, slices) = tiny_slices(3, 60);
     let system = JustInTime::train(tiny_config(1), &schema, &slices).unwrap();
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let session = serve_alone(&system, john());
     for bad in [
         "SELEKT * FROM candidates",
         "SELECT * FROM nope",
@@ -254,9 +257,7 @@ fn all_labels_one_class_still_trains() {
         })
         .collect();
     let system = JustInTime::train(tiny_config(1), &schema, &slices).unwrap();
-    let session = system
-        .session(&LendingClubGenerator::john(), &ConstraintSet::new(), None)
-        .unwrap();
+    let session = serve_alone(&system, john());
     // Everyone approved: the zero-gap candidate should exist everywhere.
     let insight = session.run(&CannedQuery::NoModification).unwrap();
     assert!(insight.headline.contains("t=0"), "{}", insight.headline);

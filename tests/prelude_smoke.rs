@@ -72,7 +72,7 @@ fn prelude_surface_end_to_end() {
         ..Default::default()
     };
 
-    // ---- jit_core: AdminConfig, CandidateParams, Objective, JustInTime,
+    // ---- jit_core: AdminConfig, CandidateParams, Objective, JustInTime, Job,
     // UserSession, CannedQuery, Insight ----------------------------------
     let config = AdminConfig {
         horizon: 2,
@@ -90,8 +90,16 @@ fn prelude_surface_end_to_end() {
     let system = JustInTime::train(config, schema, &slices).expect("training succeeds");
     assert_eq!(system.models().len(), 3, "horizon 2 trains models for t = 0..=2");
 
+    let job = Job {
+        request: UserRequest {
+            profile: john.clone(),
+            constraints: prefs,
+            update_fn: Some(update),
+        },
+        prior: None,
+    };
     let session: UserSession<'_> =
-        system.session(&john, &prefs, Some(update)).expect("session opens");
+        system.serve(&[job], None).expect("session opens").remove(0);
     let (conf, _approved) = session.present_decision();
     assert!((0.0..=1.0).contains(&conf));
 

@@ -34,7 +34,6 @@ fn tiny_config(threads: usize) -> AdminConfig {
             ..Default::default()
         },
         threads,
-        batch_threads: threads,
         ..Default::default()
     }
 }
