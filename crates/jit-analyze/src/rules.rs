@@ -60,14 +60,18 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 pub const SUPPRESSABLE: &[&str] =
     &[NO_PANIC_PATHS, NO_WALL_CLOCK, NO_LOSSY_FLOAT_FMT, LOCK_DISCIPLINE];
 
-/// Files under the typed-error-never-panic contract: the wire/net/
-/// supervisor serve path of `jit-service` and its snapshot store (which
-/// decodes bytes recovered from disk), plus `jit-db`'s binary codec and
-/// WAL recovery.
+/// Files under the typed-error-never-panic contract: every tier's serve
+/// path in `jit-service` (request types, the single-shard and sharded
+/// steps, refresh-ahead, wire, net, supervisor) and its snapshot stores
+/// (which decode bytes recovered from disk), plus `jit-db`'s binary
+/// codec and WAL recovery.
 pub const PANIC_PATH_FILES: &[&str] = &[
+    "crates/jit-service/src/api.rs",
     "crates/jit-service/src/wire.rs",
     "crates/jit-service/src/db_store.rs",
     "crates/jit-service/src/net.rs",
+    "crates/jit-service/src/service.rs",
+    "crates/jit-service/src/refresh.rs",
     "crates/jit-service/src/supervisor.rs",
     "crates/jit-service/src/sharded.rs",
     "crates/jit-service/src/store.rs",

@@ -1,5 +1,10 @@
 //! The typed request/response surface of the serving service.
 
+// Serve path: panics are denied outright here (tests and the few
+// fn-level reasoned allows excepted) — every failure must surface as a
+// typed error.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::store::StoreError;
 use jit_core::{ReturningUser, SessionError, UserRequest, UserSession};
 use std::fmt;
@@ -42,10 +47,8 @@ impl ReturningMember {
 /// crate docs for the full contract.
 #[derive(Clone, Debug)]
 pub enum ServeRequest {
-    /// Serve one first-visit user.
-    NewUser(CohortMember),
     /// Serve a cohort of first-visit users through the amortized batch
-    /// layer. Must be non-empty.
+    /// layer (one new user is a one-member batch). Must be non-empty.
     Batch(Vec<CohortMember>),
     /// Re-serve returning users whose snapshots the caller holds.
     /// Must be non-empty.
@@ -58,9 +61,9 @@ pub enum ServeRequest {
 }
 
 impl ServeRequest {
-    /// A [`ServeRequest::NewUser`] from parts.
+    /// A one-member [`ServeRequest::Batch`]: one first-visit user.
     pub fn new_user(user_id: impl Into<String>, request: UserRequest) -> Self {
-        ServeRequest::NewUser(CohortMember::new(user_id, request))
+        ServeRequest::Batch(vec![CohortMember::new(user_id, request)])
     }
 
     /// A [`ServeRequest::Batch`] from parts.
@@ -81,7 +84,6 @@ impl ServeRequest {
     /// The user ids in request order.
     pub fn user_ids(&self) -> Vec<&str> {
         match self {
-            ServeRequest::NewUser(m) => vec![m.user_id.as_str()],
             ServeRequest::Batch(ms) => ms.iter().map(|m| m.user_id.as_str()).collect(),
             ServeRequest::Returning(ms) => {
                 ms.iter().map(|m| m.user_id.as_str()).collect()
@@ -93,7 +95,6 @@ impl ServeRequest {
     /// Number of users addressed by the request.
     pub fn len(&self) -> usize {
         match self {
-            ServeRequest::NewUser(_) => 1,
             ServeRequest::Batch(ms) => ms.len(),
             ServeRequest::Returning(ms) => ms.len(),
             ServeRequest::Refresh(ids) => ids.len(),
@@ -116,7 +117,7 @@ pub struct ServedUser<'a> {
 }
 
 /// Aggregate provenance for one shard's slice of a request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardReport {
     /// Shard index the users were routed to (always 0 for an unsharded
     /// [`crate::JitService`]).
@@ -146,18 +147,6 @@ pub struct ServeReport {
     /// Per-shard breakdown, in shard order (single entry for an
     /// unsharded service; only shards that served users appear).
     pub shards: Vec<ShardReport>,
-}
-
-impl ServeReport {
-    /// Merges another report's counts into this one (sharded dispatch
-    /// aggregation).
-    pub(crate) fn absorb(&mut self, other: &ServeReport) {
-        self.users += other.users;
-        self.replayed_time_points += other.replayed_time_points;
-        self.recomputed_time_points += other.recomputed_time_points;
-        self.cold_time_points += other.cold_time_points;
-        self.shards.extend(other.shards.iter().copied());
-    }
 }
 
 impl fmt::Display for ServeReport {

@@ -2,7 +2,7 @@
 //!
 //! The **one public serving front end** of the JustInTime reproduction:
 //! a typed request/response API over the `jit-core` serving engine, with
-//! pluggable snapshot stores and an in-process sharded dispatcher.
+//! pluggable snapshot stores and sharded tiers.
 //!
 //! ## Why this crate exists
 //!
@@ -11,11 +11,11 @@
 //! identity, no persistence and no multi-shard story. This crate wraps
 //! it in a single contract:
 //!
-//! * [`ServeRequest`] — the four workloads a serving tier sees:
-//!   [`ServeRequest::NewUser`], [`ServeRequest::Batch`],
-//!   [`ServeRequest::Returning`] (snapshot provided inline) and
-//!   [`ServeRequest::Refresh`] (snapshot loaded *by user id* from the
-//!   service's store);
+//! * [`ServeRequest`] — the three workloads a serving tier sees:
+//!   [`ServeRequest::Batch`] (first visits; one new user is a
+//!   one-member batch), [`ServeRequest::Returning`] (snapshot provided
+//!   inline) and [`ServeRequest::Refresh`] (snapshot loaded *by user id*
+//!   from the service's store);
 //! * [`ServeResponse`] — the served sessions **in request order** plus a
 //!   [`ServeReport`] aggregating replay/recompute provenance per shard;
 //! * [`ServeError`] — one structured error enum for every entry point
@@ -25,16 +25,19 @@
 //!
 //! ## Request/response contract
 //!
-//! [`JitService::serve`] is all-or-nothing: either every user in the
-//! request is served and the response holds one [`ServedUser`] per
-//! request entry in request order, or the first failure (lowest request
-//! index) is returned and nothing is stored. Every successfully served
-//! session is snapshotted into the service's [`SnapshotStore`] under its
-//! user id before the response is returned, so the next
-//! [`ServeRequest::Refresh`] for that id replays whatever drift leaves
-//! untouched. Serving through the service is **bit-identical** to
-//! calling [`JustInTime::serve`] directly (locked down by
-//! `tests/determinism.rs` at the workspace root).
+//! Every tier — [`JitService::serve`], [`ShardedService::serve`] and
+//! [`ProcessShardBackend::serve`] — is all-or-nothing: either every user
+//! in the request is served and the response holds one [`ServedUser`]
+//! per request entry in request order, or the first failure (lowest
+//! request index) is returned and nothing is stored. Snapshots are saved
+//! only after every shard has succeeded: each served session is stored
+//! under its user id, in request order, before the response is
+//! returned, so the next [`ServeRequest::Refresh`] for that id replays
+//! whatever drift leaves untouched. A store that fails mid-save is
+//! reported against the first user it lost; the users before it stay
+//! stored. Serving through the service is **bit-identical** to calling
+//! [`JustInTime::serve`] directly (locked down by `tests/determinism.rs`
+//! at the workspace root).
 //!
 //! ## Snapshot stores
 //!
@@ -63,15 +66,17 @@
 //! ## Sharding semantics
 //!
 //! [`ShardedService`] routes cohorts across `N` in-process shard
-//! workers on the deterministic `jit-runtime` pool. Placement uses
-//! **consistent jump hashing** of the user id ([`shard_of`]): the same
-//! id always lands on the same shard (per-shard stores stay coherent),
-//! and growing `N` relocates only ~`1/N` of ids. Output is
-//! **bit-identical to a single-shard [`JitService`] for any shard
-//! count** — per-user serving is deterministic and shard-independent,
-//! and responses are reassembled in request order. The API is shaped so
-//! an OS-process backend can slot in behind the same [`ServeRequest`]
-//! later: shards communicate only via owned requests and snapshots.
+//! workers on the deterministic `jit-runtime` pool, and
+//! [`ProcessShardBackend`] across `N` `jit-shardd` worker processes.
+//! Both serve through one router ([`sharded`]): it splits the request,
+//! picks the winning error, reassembles replies and saves snapshots the
+//! same way for both. Placement uses **consistent jump hashing** of the
+//! user id ([`shard_of`]): the same id always lands on the same shard
+//! (per-shard stores stay coherent), and growing `N` relocates only
+//! ~`1/N` of ids. Output is **bit-identical to a single-shard
+//! [`JitService`] for any shard count** — per-user serving is
+//! deterministic and shard-independent, and responses are reassembled
+//! in request order.
 //!
 //! [`shard_of`]: ShardedService::shard_of
 //!
@@ -185,9 +190,7 @@ pub use net::{
 pub use refresh::{RefreshAheadOptions, RefreshAheadReport};
 pub use service::JitService;
 pub use sharded::{shard_index, ShardedService};
-pub use store::{
-    retry_transient, MemorySnapshotStore, NullSnapshotStore, SnapshotStore, StoreError,
-};
+pub use store::{retry_transient, MemorySnapshotStore, SnapshotStore, StoreError};
 pub use supervisor::{
     locate_shardd, DataSpec, ProcessShardBackend, ProcessShardConfig, ShardHealth,
     TrainSpec,

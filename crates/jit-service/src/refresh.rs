@@ -25,9 +25,14 @@
 //! fresh, so such users are re-refreshed on every pass rather than
 //! settling into the `fresh` count.
 
+// Serve path: panics are denied outright here (tests and the few
+// fn-level reasoned allows excepted) — store failures must surface as
+// typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::api::{ServeError, ServeRequest};
 use crate::service::JitService;
-use crate::sharded::ShardedService;
+use crate::sharded::{load_prior, ShardedService};
 use crate::store::retry_transient;
 use jit_core::{JustInTime, ReturningUser, TimePointServe};
 use std::fmt;
@@ -141,12 +146,7 @@ impl JitService {
             .map_err(|error| ServeError::Store { user_id: None, error })?;
         for user_id in user_ids {
             report.scanned += 1;
-            let prior = retry_transient(|| self.store().load(&user_id))
-                .map_err(|error| ServeError::Store {
-                    user_id: Some(user_id.clone()),
-                    error,
-                })?
-                .ok_or_else(|| ServeError::UnknownUser(user_id.clone()))?;
+            let prior = load_prior(self.store(), &user_id)?;
             let plan =
                 self.system().reserve_plan(&ReturningUser::unchanged(prior)).map_err(
                     |error| ServeError::Session { user_id: user_id.clone(), error },

@@ -1,13 +1,14 @@
 //! The single-shard serving service.
 
-use crate::api::{
-    ServeError, ServeReport, ServeRequest, ServeResponse, ServedUser, ShardReport,
-};
+// Serve path: panics are denied outright here (tests and the few
+// fn-level reasoned allows excepted) — request and store failures must
+// surface as typed errors.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::api::{ServeError, ServeRequest, ServeResponse, ServedUser};
+use crate::sharded::{finish, resolve_refresh};
 use crate::store::{MemorySnapshotStore, SnapshotStore};
-use jit_core::{
-    AdminConfig, Job, JustInTime, ReturningUser, SharedCellCache, TimePointServe,
-    TrainError, UserSession,
-};
+use jit_core::{AdminConfig, Job, JustInTime, SharedCellCache, TrainError};
 use jit_data::FeatureSchema;
 use jit_ml::Dataset;
 use std::collections::HashSet;
@@ -20,7 +21,7 @@ use std::sync::Arc;
 ///
 /// Serving is bit-identical to calling [`JustInTime::serve`]; what
 /// the service adds is user identity, automatic snapshot persistence,
-/// typed errors, the aggregate [`ServeReport`] — and a per-service
+/// typed errors, the aggregate [`crate::ServeReport`] — and a per-service
 /// [`SharedCellCache`]: confidence cells computed for one user are
 /// reused by every later user on the same model (see
 /// `jit_core::candidates` for why that is provably output-preserving).
@@ -34,16 +35,12 @@ pub struct JitService {
     /// Cross-user confidence cells, scoped to `system`'s model
     /// fingerprints.
     cache: Arc<SharedCellCache>,
-    /// Shard index stamped into reports (0 for standalone services; the
-    /// sharded dispatcher labels its workers).
-    shard_label: usize,
 }
 
 impl fmt::Debug for JitService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JitService")
             .field("horizon", &self.system.config().horizon)
-            .field("shard_label", &self.shard_label)
             .finish_non_exhaustive()
     }
 }
@@ -57,12 +54,7 @@ impl JitService {
     /// Wraps an already-shared system and store (how [`crate::ShardedService`]
     /// builds its shard workers). The cell cache starts empty.
     pub fn with_shared(system: Arc<JustInTime>, store: Arc<dyn SnapshotStore>) -> Self {
-        JitService {
-            system,
-            store,
-            cache: Arc::new(SharedCellCache::new()),
-            shard_label: 0,
-        }
+        JitService { system, store, cache: Arc::new(SharedCellCache::new()) }
     }
 
     /// [`JitService::with_shared`] adopting a **prior generation's** cell
@@ -78,7 +70,7 @@ impl JitService {
         cache: Arc<SharedCellCache>,
     ) -> Self {
         cache.retain_models(system.model_keys());
-        JitService { system, store, cache, shard_label: 0 }
+        JitService { system, store, cache }
     }
 
     /// A service over a fresh in-memory store.
@@ -97,10 +89,6 @@ impl JitService {
         store: impl SnapshotStore + 'static,
     ) -> Result<Self, TrainError> {
         Ok(Self::new(JustInTime::train(config, schema, slices)?, store))
-    }
-
-    pub(crate) fn set_shard_label(&mut self, shard: usize) {
-        self.shard_label = shard;
     }
 
     /// The trained system (read access; retraining means building a new
@@ -148,88 +136,54 @@ impl JitService {
         request: ServeRequest,
     ) -> Result<ServeResponse<'_>, ServeError> {
         check_request(&request)?;
-        let (user_ids, jobs): (Vec<String>, Vec<Job>) = match request {
-            ServeRequest::NewUser(member) => {
-                (vec![member.user_id], vec![Job::from(member.request)])
-            }
-            ServeRequest::Batch(members) => {
-                members.into_iter().map(|m| (m.user_id, Job::from(m.request))).unzip()
-            }
-            ServeRequest::Returning(members) => {
-                members.into_iter().map(|m| (m.user_id, Job::from(m.returning))).unzip()
-            }
-            ServeRequest::Refresh(ids) => ids
-                .into_iter()
-                .map(|user_id| {
-                    let prior =
-                        crate::store::retry_transient(|| self.store.load(&user_id))
-                            .map_err(|error| ServeError::Store {
-                                user_id: Some(user_id.clone()),
-                                error,
-                            })?
-                            .ok_or_else(|| ServeError::UnknownUser(user_id.clone()))?;
-                    Ok((user_id, Job::from(ReturningUser::unchanged(prior))))
-                })
-                .collect::<Result<Vec<_>, ServeError>>()?
-                .into_iter()
-                .unzip(),
-        };
-        let sessions = self.system.serve(&jobs, Some(&self.cache)).map_err(|e| {
-            ServeError::Session { user_id: user_ids[e.user].clone(), error: e.error }
-        })?;
-        self.finish(user_ids, sessions)
-    }
-
-    /// Stores snapshots and assembles the response + report.
-    fn finish<'a>(
-        &self,
-        user_ids: Vec<String>,
-        sessions: Vec<UserSession<'a>>,
-    ) -> Result<ServeResponse<'a>, ServeError> {
-        let mut shard = ShardReport {
-            shard: self.shard_label,
-            users: 0,
-            replayed_time_points: 0,
-            recomputed_time_points: 0,
-            cold_time_points: 0,
-        };
-        let mut users = Vec::with_capacity(sessions.len());
-        for (user_id, session) in user_ids.into_iter().zip(sessions) {
-            // Attribute a store failure to the user whose save failed:
-            // saves run in request order, so a store dying mid-batch
-            // reports the first user it lost (everything before it is
-            // durably stored; nothing after it was attempted).
-            let snapshot = session.snapshot();
-            crate::store::retry_transient(|| self.store.save(&user_id, &snapshot))
-                .map_err(|error| ServeError::Store {
-                    user_id: Some(user_id.clone()),
-                    error,
-                })?;
-            shard.users += 1;
-            match session.reserve_report() {
-                Some(report) => {
-                    for served in report {
-                        match served {
-                            TimePointServe::Replayed => shard.replayed_time_points += 1,
-                            TimePointServe::Recomputed => {
-                                shard.recomputed_time_points += 1
-                            }
-                        }
-                    }
-                }
-                None => shard.cold_time_points += session.temporal_inputs().len(),
-            }
-            users.push(ServedUser { user_id, session });
-        }
-        let report = ServeReport {
-            users: shard.users,
-            replayed_time_points: shard.replayed_time_points,
-            recomputed_time_points: shard.recomputed_time_points,
-            cold_time_points: shard.cold_time_points,
-            shards: vec![shard],
-        };
+        let served = self.compute(request)?.into_iter().map(|user| (0, user)).collect();
+        let (users, report) = finish(served, |_| self.store())?;
         Ok(ServeResponse { users, report })
     }
+
+    /// The compute step of the in-process tiers: a `Refresh` is resolved
+    /// from this service's store, then the request is served through
+    /// [`serve_jobs`]. Nothing is saved; [`JitService::serve`] and the
+    /// sharded router save once every shard has succeeded.
+    pub(crate) fn compute(
+        &self,
+        request: ServeRequest,
+    ) -> Result<Vec<ServedUser<'_>>, ServeError> {
+        serve_jobs(&self.system, &self.cache, resolve_refresh(request, self.store())?)
+    }
+}
+
+/// Serves `request` through `system`, sharing `cache` across its users,
+/// and saves nothing — the compute every tier runs, in process or in a
+/// shard worker. Snapshots are loaded before this step, so a `Refresh`
+/// that reaches it is a [`ServeError::Transport`]: only a tier holding
+/// the user's store can serve one.
+pub(crate) fn serve_jobs<'a>(
+    system: &'a JustInTime,
+    cache: &Arc<SharedCellCache>,
+    request: ServeRequest,
+) -> Result<Vec<ServedUser<'a>>, ServeError> {
+    let (user_ids, jobs): (Vec<String>, Vec<Job>) = match request {
+        ServeRequest::Batch(members) => {
+            members.into_iter().map(|m| (m.user_id, Job::from(m.request))).unzip()
+        }
+        ServeRequest::Returning(members) => {
+            members.into_iter().map(|m| (m.user_id, Job::from(m.returning))).unzip()
+        }
+        ServeRequest::Refresh(_) => {
+            return Err(ServeError::Transport(
+                "a refresh reached a shard without its snapshot store".to_string(),
+            ))
+        }
+    };
+    let sessions = system.serve(&jobs, Some(cache)).map_err(|e| {
+        ServeError::Session { user_id: user_ids[e.user].clone(), error: e.error }
+    })?;
+    Ok(user_ids
+        .into_iter()
+        .zip(sessions)
+        .map(|(user_id, session)| ServedUser { user_id, session })
+        .collect())
 }
 
 /// Shared request validation: batch variants must be non-empty, user
@@ -248,7 +202,6 @@ pub(crate) fn check_request(request: &ServeRequest) -> Result<(), ServeError> {
     }
     let fits = crate::wire::nests_within_cap;
     let too_deep = match request {
-        ServeRequest::NewUser(m) => (!fits(&m.request)).then_some(&m.user_id),
         ServeRequest::Batch(ms) => {
             ms.iter().find(|m| !fits(&m.request)).map(|m| &m.user_id)
         }

@@ -1,29 +1,53 @@
-//! The in-process sharded dispatcher.
+//! The shard router and the in-process sharded tier.
 //!
-//! [`ShardedService`] fronts `N` [`JitService`] shard workers that share
-//! one trained system but own **independent snapshot stores**. Users are
-//! placed by consistent jump hashing of their id, cohorts are split into
-//! per-shard sub-requests, dispatched concurrently on the deterministic
-//! `jit-runtime` pool, and reassembled **in request order** — so the
-//! response is bit-identical to an unsharded [`JitService`] for any
-//! shard count (locked down by `tests/determinism.rs`).
+//! Both sharded tiers serve through one crate-private router:
+//! [`ShardedService`] here, over in-process [`JitService`] shards that
+//! share one trained system, and [`crate::ProcessShardBackend`], over
+//! `jit-shardd` worker processes. How a request is split, which failure
+//! wins, how replies come back and when snapshots are loaded and saved
+//! is therefore decided once, in four steps:
 //!
-//! The shard boundary is an owned-value boundary (requests in, sessions
-//! and snapshots out; shards never share mutable state), which is the
-//! shape an OS-process or network backend needs — swapping the worker
-//! call for an RPC leaves the routing, ordering and error semantics
-//! untouched.
+//! 1. **Route.** The request is checked (non-empty, unique ids,
+//!    constraints within the wire's nesting cap) and split into one
+//!    sub-request per shard holding users, each in request order. Users
+//!    are placed by consistent jump hashing of their id
+//!    ([`shard_index`]), so a user's snapshot lands on the same shard in
+//!    every tier.
+//! 2. **Compute.** Every such shard runs the tier's shard step
+//!    concurrently: a `Refresh` sub-request is resolved from that
+//!    shard's store, then its users are served — on the `jit-runtime`
+//!    pool, or by the shard's worker process. The step saves nothing.
+//! 3. **Gather.** When shards fail, the error of the failing user
+//!    earliest in request order wins — the error an unsharded
+//!    [`JitService`] reports. Otherwise the replies are reassembled in
+//!    request order; a reply missing a user is a
+//!    [`ServeError::Transport`].
+//! 4. **Save.** Only then are the snapshots saved, in request order,
+//!    into each user's shard store, each save retried over transient
+//!    store errors. The report is one fold over the served users'
+//!    provenance, keyed by shard.
+//!
+//! [`JitService::serve`] is steps 2 and 4 over its one store. Every tier
+//! is thus all-or-nothing — a failed request stores nothing, except that
+//! a store dying mid-save keeps the users saved before it — and serves
+//! bit-identical responses for any shard count (`tests/determinism.rs`).
 
 // Decode/serve path: panics are denied outright here (tests and the
 // few fn-level reasoned allows excepted) — hostile bytes and worker
 // failures must surface as typed errors.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::api::{ServeError, ServeReport, ServeRequest, ServeResponse, ServedUser};
+use crate::api::{
+    ReturningMember, ServeError, ServeReport, ServeRequest, ServeResponse, ServedUser,
+    ShardReport,
+};
 use crate::service::{check_request, JitService};
-use crate::store::SnapshotStore;
-use jit_core::JustInTime;
+use crate::store::{retry_transient, SnapshotStore};
+use crate::wire::WireServedUser;
+use jit_core::{JustInTime, ReturningUser, SessionSnapshot, TimePointServe};
 use jit_runtime::Runtime;
+use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -110,12 +134,7 @@ impl ShardedService {
         // jit-analyze: allow(no-panic-paths) — documented `# Panics` contract: misconfiguration at construction time, not serve-path input
         assert!(n_shards >= 1, "a sharded service needs at least one shard");
         let shards = (0..n_shards)
-            .map(|s| {
-                let mut service =
-                    JitService::with_shared(Arc::clone(&system), store_for(s));
-                service.set_shard_label(s);
-                service
-            })
+            .map(|s| JitService::with_shared(Arc::clone(&system), store_for(s)))
             .collect();
         ShardedService { shards, dispatch: Runtime::new(dispatch_threads) }
     }
@@ -141,15 +160,12 @@ impl ShardedService {
         let shards = prior
             .shards
             .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                let mut service = JitService::with_cell_cache(
+            .map(|shard| {
+                JitService::with_cell_cache(
                     Arc::clone(&system),
                     Arc::clone(shard.store_arc()),
                     Arc::clone(shard.cell_cache()),
-                );
-                service.set_shard_label(s);
-                service
+                )
             })
             .collect();
         ShardedService { shards, dispatch: Runtime::new(dispatch_threads) }
@@ -184,71 +200,156 @@ impl ShardedService {
     /// The typed [`ServeError`]; with several failing shards, the error
     /// of the user earliest in request order wins (matching what an
     /// unsharded service would report).
-    #[allow(clippy::expect_used)] // see jit-analyze annotation at the call site
     pub fn serve(
         &self,
         request: ServeRequest,
     ) -> Result<ServeResponse<'_>, ServeError> {
+        let (users, report) = serve_sharded(
+            request,
+            self.shards.len(),
+            |shard| self.shards[shard].store(),
+            |n, task| self.dispatch.parallel_map(n, task),
+            |shard, sub| self.shards[shard].compute(sub),
+        )?;
+        Ok(ServeResponse { users, report })
+    }
+}
+
+/// One served user, as the router's save and report steps see it.
+pub(crate) trait Served {
+    /// The id the user was served under.
+    fn user_id(&self) -> &str;
+    /// The snapshot to store under [`Served::user_id`].
+    fn snapshot(&self) -> Cow<'_, SessionSnapshot>;
+    /// How each time point was served; `None` for a cold serve.
+    fn provenance(&self) -> Option<&[TimePointServe]>;
+    /// The number of time points served.
+    fn time_points(&self) -> usize;
+}
+
+impl Served for ServedUser<'_> {
+    fn user_id(&self) -> &str {
+        &self.user_id
+    }
+
+    fn snapshot(&self) -> Cow<'_, SessionSnapshot> {
+        Cow::Owned(self.session.snapshot())
+    }
+
+    fn provenance(&self) -> Option<&[TimePointServe]> {
+        self.session.reserve_report()
+    }
+
+    fn time_points(&self) -> usize {
+        self.session.temporal_inputs().len()
+    }
+}
+
+impl Served for WireServedUser {
+    fn user_id(&self) -> &str {
+        &self.user_id
+    }
+
+    fn snapshot(&self) -> Cow<'_, SessionSnapshot> {
+        Cow::Borrowed(&self.snapshot)
+    }
+
+    fn provenance(&self) -> Option<&[TimePointServe]> {
+        self.provenance.as_deref()
+    }
+
+    fn time_points(&self) -> usize {
+        self.snapshot.temporal_inputs().len()
+    }
+}
+
+/// One shard's outcome: its users in sub-request order, or its error.
+type ShardReply<U> = Result<Vec<U>, ServeError>;
+
+/// Serves `request` over `n_shards` shards, steps 1 to 4 of the module
+/// docs. `fan_out(n, task)` runs `task` on `0..n` concurrently and
+/// returns the results in task order; `shard_step(shard, sub)` is the
+/// tier's compute step; `store_of(shard)` is the shard's store.
+pub(crate) fn serve_sharded<'s, U: Served>(
+    request: ServeRequest,
+    n_shards: usize,
+    store_of: impl Fn(usize) -> &'s dyn SnapshotStore,
+    fan_out: impl FnOnce(
+        usize,
+        &(dyn Fn(usize) -> ShardReply<U> + Sync),
+    ) -> Vec<ShardReply<U>>,
+    shard_step: impl Fn(usize, ServeRequest) -> ShardReply<U> + Sync,
+) -> Result<(Vec<U>, ServeReport), ServeError> {
+    let route = Route::new(request, n_shards)?;
+    let replies = fan_out(route.subs.len(), &|i| {
+        let (shard, sub) = &route.subs[i];
+        // Each sub-request moves into its shard step: snapshots in a
+        // `Returning` cohort can be large, so they are never copied.
+        let sub = sub.lock().take().ok_or_else(|| {
+            ServeError::Transport(format!("shard {shard}'s sub-request ran twice"))
+        })?;
+        shard_step(*shard, sub)
+    });
+    finish(route.gather(replies)?, store_of)
+}
+
+/// A request split across shards (step 1).
+struct Route {
+    /// User ids in request order.
+    ids: Vec<String>,
+    /// Per shard, the request positions of its users, ascending.
+    positions: Vec<Vec<usize>>,
+    /// Every shard holding users, in shard order, with its sub-request
+    /// until the shard step takes it.
+    subs: Vec<(usize, Mutex<Option<ServeRequest>>)>,
+}
+
+impl Route {
+    fn new(request: ServeRequest, n_shards: usize) -> Result<Self, ServeError> {
         check_request(&request)?;
-        // Ids in request order (already known unique), for attributing a
-        // failing shard's error back to its original request position.
-        let all_ids: Vec<String> =
+        let ids: Vec<String> =
             request.user_ids().into_iter().map(str::to_string).collect();
-        // Split the request into per-shard sub-requests, remembering each
-        // member's original position for reassembly.
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let sub_requests: Vec<Option<ServeRequest>> = match request {
-            ServeRequest::NewUser(member) => {
-                let shard = self.shard_of(&member.user_id);
-                positions[shard].push(0);
-                let mut subs: Vec<Option<ServeRequest>> =
-                    (0..self.shards.len()).map(|_| None).collect();
-                subs[shard] = Some(ServeRequest::NewUser(member));
-                subs
+        let shard_of: Vec<usize> =
+            ids.iter().map(|id| shard_index(id, n_shards)).collect();
+        let mut positions = vec![Vec::new(); n_shards];
+        for (position, &shard) in shard_of.iter().enumerate() {
+            positions[shard].push(position);
+        }
+        let subs = match request {
+            ServeRequest::Batch(members) => {
+                split(members, &shard_of, n_shards, ServeRequest::Batch)
             }
-            ServeRequest::Batch(members) => self
-                .split(members, &mut positions, |m| &m.user_id)
-                .into_iter()
-                .map(|ms| (!ms.is_empty()).then_some(ServeRequest::Batch(ms)))
-                .collect(),
-            ServeRequest::Returning(members) => self
-                .split(members, &mut positions, |m| &m.user_id)
-                .into_iter()
-                .map(|ms| (!ms.is_empty()).then_some(ServeRequest::Returning(ms)))
-                .collect(),
-            ServeRequest::Refresh(ids) => self
-                .split(ids, &mut positions, |id| id)
-                .into_iter()
-                .map(|ids| (!ids.is_empty()).then_some(ServeRequest::Refresh(ids)))
-                .collect(),
+            ServeRequest::Returning(members) => {
+                split(members, &shard_of, n_shards, ServeRequest::Returning)
+            }
+            ServeRequest::Refresh(ids) => {
+                split(ids, &shard_of, n_shards, ServeRequest::Refresh)
+            }
         };
+        Ok(Route { ids, positions, subs })
+    }
 
-        // Each sub-request is consumed exactly once by its worker; the
-        // Mutex<Option<..>> lets workers *move* it out (snapshots in a
-        // Returning cohort can be large — no second deep copy here).
-        let active: Vec<(usize, parking_lot::Mutex<Option<ServeRequest>>)> =
-            sub_requests
-                .into_iter()
-                .enumerate()
-                .filter_map(|(s, r)| r.map(|r| (s, parking_lot::Mutex::new(Some(r)))))
-                .collect();
-        let results: Vec<Result<ServeResponse<'_>, ServeError>> =
-            self.dispatch.parallel_map(active.len(), |i| {
-                let (shard, sub) = &active[i];
-                // jit-analyze: allow(no-panic-paths) — parallel_map calls each index exactly once, so the slot is provably Some
-                let sub = sub.lock().take().expect("each sub-request runs once");
-                self.shards[*shard].serve(sub)
-            });
-
-        // Deterministic error choice: the failing user earliest in the
-        // original request (shard-count independent for per-user errors).
+    /// Step 3: the earliest failing user's error, or every shard's users
+    /// back in request order, each with its shard.
+    fn gather<U: Served>(
+        self,
+        replies: Vec<ShardReply<U>>,
+    ) -> Result<Vec<(usize, U)>, ServeError> {
         let mut first_error: Option<(usize, ServeError)> = None;
-        let mut responses: Vec<(usize, ServeResponse<'_>)> = Vec::new();
-        for ((shard, _), result) in active.iter().zip(results) {
-            match result {
-                Ok(response) => responses.push((*shard, response)),
+        let mut slots: Vec<Option<(usize, U)>> =
+            self.ids.iter().map(|_| None).collect();
+        for ((shard, _), reply) in self.subs.iter().zip(replies) {
+            let positions = &self.positions[*shard];
+            match reply {
+                Ok(users) => {
+                    for (user, &position) in users.into_iter().zip(positions) {
+                        if user.user_id() == self.ids[position] {
+                            slots[position] = Some((*shard, user));
+                        }
+                    }
+                }
                 Err(error) => {
-                    let position = error_position(&error, &all_ids, &positions[*shard]);
+                    let position = error_position(&error, &self.ids, positions);
                     if first_error.as_ref().is_none_or(|(p, _)| position < *p) {
                         first_error = Some((position, error));
                     }
@@ -258,48 +359,45 @@ impl ShardedService {
         if let Some((_, error)) = first_error {
             return Err(error);
         }
-
-        // Reassemble sessions in request order and merge shard reports.
-        let total: usize = positions.iter().map(Vec::len).sum();
-        let mut slots: Vec<Option<ServedUser<'_>>> = (0..total).map(|_| None).collect();
-        let mut report = ServeReport::default();
-        for (shard, response) in responses {
-            report.absorb(&response.report);
-            for (user, position) in response.users.into_iter().zip(&positions[shard]) {
-                slots[*position] = Some(user);
-            }
-        }
-        let users = slots
+        // A shard worker is another process: a reply that drops or
+        // renames a user is a protocol violation to report, not an
+        // invariant to assert.
+        slots
             .into_iter()
-            // jit-analyze: allow(no-panic-paths) — in-process shards are trusted: split() covers every position exactly once (unlike the supervisor, whose workers are separate processes and get a typed error instead)
-            .map(|u| u.expect("every request position served exactly once"))
-            .collect();
-        Ok(ServeResponse { users, report })
-    }
-
-    /// Partitions `members` into per-shard vectors, recording original
-    /// positions in `positions`.
-    fn split<M>(
-        &self,
-        members: Vec<M>,
-        positions: &mut [Vec<usize>],
-        id_of: impl Fn(&M) -> &str,
-    ) -> Vec<Vec<M>> {
-        let mut out: Vec<Vec<M>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (position, member) in members.into_iter().enumerate() {
-            let shard = self.shard_of(id_of(&member));
-            positions[shard].push(position);
-            out[shard].push(member);
-        }
-        out
+            .zip(&self.ids)
+            .map(|(slot, id)| {
+                slot.ok_or_else(|| {
+                    ServeError::Transport(format!("no shard reply carried user {id:?}"))
+                })
+            })
+            .collect()
     }
 }
 
-/// Original-request position a shard error should be attributed to: the
+/// Distributes `members` (in request order) over the shards `shard_of`
+/// names, wrapping each non-empty share as a sub-request.
+fn split<M>(
+    members: Vec<M>,
+    shard_of: &[usize],
+    n_shards: usize,
+    wrap: fn(Vec<M>) -> ServeRequest,
+) -> Vec<(usize, Mutex<Option<ServeRequest>>)> {
+    let mut shares: Vec<Vec<M>> = (0..n_shards).map(|_| Vec::new()).collect();
+    for (member, &shard) in members.into_iter().zip(shard_of) {
+        shares[shard].push(member);
+    }
+    shares
+        .into_iter()
+        .enumerate()
+        .filter(|(_, share)| !share.is_empty())
+        .map(|(shard, share)| (shard, Mutex::new(Some(wrap(share)))))
+        .collect()
+}
+
+/// Original-request position a shard error is attributed to: the
 /// failing user's position when the error names one, else the shard's
-/// first member. Shared with the OS-process backend (`crate::supervisor`)
-/// so both tiers pick the same winning error.
-pub(crate) fn error_position(
+/// first member.
+fn error_position(
     error: &ServeError,
     all_ids: &[String],
     shard_positions: &[usize],
@@ -319,9 +417,100 @@ pub(crate) fn error_position(
         .unwrap_or(usize::MAX)
 }
 
+/// Loads `user_id`'s stored snapshot: the one load of every tier and of
+/// refresh-ahead. Transient store errors are retried; an absent id is
+/// [`ServeError::UnknownUser`] and a failing store a
+/// [`ServeError::Store`] naming the user.
+pub(crate) fn load_prior(
+    store: &dyn SnapshotStore,
+    user_id: &str,
+) -> Result<SessionSnapshot, ServeError> {
+    retry_transient(|| store.load(user_id))
+        .map_err(|error| ServeError::Store {
+            user_id: Some(user_id.to_string()),
+            error,
+        })?
+        .ok_or_else(|| ServeError::UnknownUser(user_id.to_string()))
+}
+
+/// `request` with a `Refresh`'s ids resolved through [`load_prior`] into
+/// the equivalent `Returning` request; other requests pass through.
+pub(crate) fn resolve_refresh(
+    request: ServeRequest,
+    store: &dyn SnapshotStore,
+) -> Result<ServeRequest, ServeError> {
+    let ServeRequest::Refresh(ids) = request else { return Ok(request) };
+    ids.into_iter()
+        .map(|user_id| {
+            let returning = ReturningUser::unchanged(load_prior(store, &user_id)?);
+            Ok(ReturningMember { user_id, returning })
+        })
+        .collect::<Result<_, _>>()
+        .map(ServeRequest::Returning)
+}
+
+/// Step 4, shared with [`JitService::serve`]: saves every served user's
+/// snapshot into its shard's store in request order, each save retried
+/// over transient errors, then folds the report. The first failing save
+/// names its user; users before it stay stored and none after it is
+/// attempted.
+pub(crate) fn finish<'s, U: Served>(
+    served: Vec<(usize, U)>,
+    store_of: impl Fn(usize) -> &'s dyn SnapshotStore,
+) -> Result<(Vec<U>, ServeReport), ServeError> {
+    for (shard, user) in &served {
+        let snapshot = user.snapshot();
+        retry_transient(|| store_of(*shard).save(user.user_id(), &snapshot)).map_err(
+            |error| ServeError::Store {
+                user_id: Some(user.user_id().to_string()),
+                error,
+            },
+        )?;
+    }
+    let report = fold_report(served.iter().map(|(shard, user)| (*shard, user)));
+    Ok((served.into_iter().map(|(_, user)| user).collect(), report))
+}
+
+/// The one report fold: every user's provenance counted under the shard
+/// that served it. Shards appear in shard order, only when they served
+/// someone; the totals sum over them.
+pub(crate) fn fold_report<'u, U: Served + 'u>(
+    served: impl IntoIterator<Item = (usize, &'u U)>,
+) -> ServeReport {
+    let mut shards: Vec<ShardReport> = Vec::new();
+    for (shard, user) in served {
+        let at =
+            shards.binary_search_by_key(&shard, |r| r.shard).unwrap_or_else(|at| {
+                shards.insert(at, ShardReport { shard, ..ShardReport::default() });
+                at
+            });
+        let counts = &mut shards[at];
+        counts.users += 1;
+        match user.provenance() {
+            Some(served) => {
+                let replayed =
+                    served.iter().filter(|t| **t == TimePointServe::Replayed).count();
+                counts.replayed_time_points += replayed;
+                counts.recomputed_time_points += served.len() - replayed;
+            }
+            None => counts.cold_time_points += user.time_points(),
+        }
+    }
+    let total =
+        |count: fn(&ShardReport) -> usize| -> usize { shards.iter().map(count).sum() };
+    ServeReport {
+        users: total(|r| r.users),
+        replayed_time_points: total(|r| r.replayed_time_points),
+        recomputed_time_points: total(|r| r.recomputed_time_points),
+        cold_time_points: total(|r| r.cold_time_points),
+        shards,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemorySnapshotStore;
 
     #[test]
     fn jump_hash_is_stable_and_consistent() {
@@ -348,6 +537,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn served(user_id: &str) -> WireServedUser {
+        let snapshot = SessionSnapshot::from_parts(
+            jit_core::UserRequest::new(vec![1.0]),
+            vec![vec![1.0]],
+            vec![],
+            vec![None],
+        );
+        WireServedUser {
+            user_id: user_id.to_string(),
+            snapshot: snapshot.expect("well-formed parts"),
+            provenance: None,
+        }
+    }
+
+    /// Serves a 6-user refresh over 2 shards whose shard step answers
+    /// with the users `reply` makes of the ids it was sent.
+    fn serve_with(
+        store: &MemorySnapshotStore,
+        reply: impl Fn(Vec<&str>) -> Vec<&str> + Sync,
+    ) -> Result<(Vec<WireServedUser>, ServeReport), ServeError> {
+        let ids = (0..6).map(|i| format!("user-{i}"));
+        serve_sharded(
+            ServeRequest::refresh(ids),
+            2,
+            |_| store,
+            |n, task| (0..n).map(task).collect(),
+            |_, sub| Ok(reply(sub.user_ids()).into_iter().map(served).collect()),
+        )
+    }
+
+    #[test]
+    fn replies_that_drop_or_rename_a_user_are_transport_errors() {
+        // Every user answered: served in request order, saved, counted.
+        let store = MemorySnapshotStore::new();
+        let (users, report) = serve_with(&store, |sent| sent).unwrap();
+        let ids: Vec<String> = (0..6).map(|i| format!("user-{i}")).collect();
+        let got: Vec<String> = users.into_iter().map(|u| u.user_id).collect();
+        assert_eq!(got, ids);
+        assert_eq!((report.users, report.cold_time_points), (6, 6));
+        assert_eq!(store.user_ids().unwrap(), ids);
+
+        // A shard drops its first user, or renames every user: typed
+        // errors, and nothing saved.
+        let store = MemorySnapshotStore::new();
+        let err = serve_with(&store, |sent| sent[1..].to_vec()).unwrap_err();
+        assert!(matches!(err, ServeError::Transport(_)), "{err:?}");
+        let err =
+            serve_with(&store, |sent| sent.iter().map(|_| "x").collect()).unwrap_err();
+        assert!(matches!(err, ServeError::Transport(_)), "{err:?}");
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn a_shard_step_runs_at_most_once() {
+        let store = MemorySnapshotStore::new();
+        let err = serve_sharded(
+            ServeRequest::refresh(["a"]),
+            1,
+            |_| &store,
+            |_, task| {
+                let _ = task(0);
+                vec![task(0)]
+            },
+            |_, sub| Ok(sub.user_ids().into_iter().map(served).collect()),
+        )
+        .unwrap_err();
+        assert!(matches!(err, ServeError::Transport(_)), "{err:?}");
     }
 
     #[test]

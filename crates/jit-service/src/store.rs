@@ -185,46 +185,6 @@ impl SnapshotStore for MemorySnapshotStore {
     }
 }
 
-/// The no-op backend: saves are discarded, loads always miss.
-///
-/// This is what a **stateless shard worker process** runs (see
-/// `crate::supervisor`): the authoritative per-shard stores live in the
-/// supervisor, which resolves [`crate::ServeRequest::Refresh`] before
-/// dispatch and persists returned snapshots itself — a worker holding
-/// its own store would just shadow state the supervisor already owns
-/// (and lose it on restart).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSnapshotStore;
-
-impl NullSnapshotStore {
-    /// The store.
-    pub fn new() -> Self {
-        NullSnapshotStore
-    }
-}
-
-impl SnapshotStore for NullSnapshotStore {
-    fn save(
-        &self,
-        _user_id: &str,
-        _snapshot: &SessionSnapshot,
-    ) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn load(&self, _user_id: &str) -> Result<Option<SessionSnapshot>, StoreError> {
-        Ok(None)
-    }
-
-    fn remove(&self, _user_id: &str) -> Result<bool, StoreError> {
-        Ok(false)
-    }
-
-    fn user_ids(&self) -> Result<Vec<String>, StoreError> {
-        Ok(Vec::new())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

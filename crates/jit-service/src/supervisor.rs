@@ -2,12 +2,15 @@
 //!
 //! [`ProcessShardBackend`] is the out-of-process twin of
 //! [`crate::ShardedService`]: it launches one `jit-shardd` worker
-//! *process* per shard, speaks the [`crate::wire`] protocol over the
-//! workers' stdin/stdout pipes, routes users by the same jump hash
-//! ([`crate::sharded::shard_index`]), and reassembles responses in
-//! request order — bit-identical to the in-process dispatcher and to a
-//! single unsharded [`crate::JitService`] (locked by
-//! `tests/determinism.rs`).
+//! *process* per shard and speaks the [`crate::wire`] protocol over the
+//! workers' stdin/stdout pipes. Both tiers serve through the same router
+//! ([`crate::sharded`]): the same jump-hash placement, the same
+//! earliest-failing-user error, the same request-order reassembly and
+//! the same save step. Responses are therefore bit-identical to the
+//! in-process tier and to a single unsharded [`crate::JitService`]
+//! (locked by `tests/determinism.rs`). This module adds the shard step,
+//! one request/reply exchange with the shard's worker process, and the
+//! worker's side of that exchange, [`serve_frames`].
 //!
 //! ## Shard processes are stateless
 //!
@@ -16,19 +19,19 @@
 //! *restarted* worker — reaches the same system) and then serves pure
 //! compute: requests in, owned responses out. The authoritative
 //! [`crate::SnapshotStore`]s live **in the supervisor**, one per shard:
-//! the supervisor resolves [`ServeRequest::Refresh`] by loading
-//! snapshots itself and sending them inline, and persists returned
-//! snapshots after each successful cohort. A `kill -9`'d shard therefore
-//! loses nothing — the store survives in the parent, the replacement
-//! process retrains the identical system, and the next `Refresh` replays
-//! bit-for-bit.
+//! the shard step resolves a [`ServeRequest::Refresh`] from the shard's
+//! store and sends the snapshots inline, and the router saves the
+//! returned snapshots once every shard has succeeded. A `kill -9`'d
+//! shard therefore loses nothing — the store survives in the parent, the
+//! replacement process retrains the identical system, and the next
+//! `Refresh` replays bit-for-bit.
 //!
 //! The cross-user cell cache ([`jit_core::SharedCellCache`]) is part of
-//! that stateless compute: each worker's [`crate::JitService`] owns its
-//! cache inside the worker process, so a respawn starts the replacement
-//! cold. That is a warmth loss only — cached cells are memoized
-//! recomputation, never inputs — so restarted shards stay bit-identical,
-//! just briefly slower until the cache re-fills.
+//! that stateless compute: each worker owns its cache inside the worker
+//! process, so a respawn starts the replacement cold. That is a warmth
+//! loss only — cached cells are memoized recomputation, never inputs —
+//! so restarted shards stay bit-identical, just briefly slower until the
+//! cache re-fills.
 //!
 //! ## Supervision contract
 //!
@@ -49,18 +52,20 @@
 // failures must surface as typed errors.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::api::{ReturningMember, ServeError, ServeRequest};
+use crate::api::{ServeError, ServeRequest, ServeResponse};
 use crate::net::ServeBackend;
-use crate::service::check_request;
-use crate::sharded::{error_position, shard_index};
+use crate::service::serve_jobs;
+use crate::sharded::{fold_report, resolve_refresh, serve_sharded, shard_index};
 use crate::store::SnapshotStore;
-use crate::wire::{self, Message, WireReport, WireResponse, MAX_FRAME_LEN};
-use jit_core::{AdminConfig, JustInTime, ReturningUser, TrainError};
+use crate::wire::{
+    self, Message, WireReport, WireResponse, WireServedUser, MAX_FRAME_LEN,
+};
+use jit_core::{AdminConfig, JustInTime, SharedCellCache, TrainError};
 use jit_data::{FeatureSchema, LendingClubGenerator, LendingClubParams};
 use jit_ml::Dataset;
 use parking_lot::Mutex;
 use std::fmt;
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -365,162 +370,41 @@ impl ProcessShardBackend {
     }
 
     /// Serves one request across the shard processes — same contract and
-    /// same bytes as [`crate::ShardedService::serve`].
+    /// same bytes as [`crate::ShardedService::serve`], through the same
+    /// router (see [`crate::sharded`]).
     ///
     /// # Errors
     /// The typed [`ServeError`]; a dead worker yields
     /// [`ServeError::Shard`] attributed to the earliest affected user,
     /// and with several failing shards the error of the user earliest in
     /// request order wins.
-    #[allow(clippy::expect_used)] // see jit-analyze annotation at the call site
     pub fn serve(&self, request: ServeRequest) -> Result<WireResponse, ServeError> {
-        check_request(&request)?;
-        let n = self.shards.len();
-        let all_ids: Vec<String> =
-            request.user_ids().into_iter().map(str::to_string).collect();
-
-        // Refresh is resolved here, against the supervisor's stores:
-        // shard workers are stateless, so snapshots travel inline.
-        let request = match request {
-            ServeRequest::Refresh(ids) => {
-                let members = ids
-                    .into_iter()
-                    .map(|user_id| {
-                        let shard = shard_index(&user_id, n);
-                        let prior = self.stores[shard]
-                            .load(&user_id)
-                            .map_err(|error| ServeError::Store {
-                                user_id: Some(user_id.clone()),
-                                error,
-                            })?
-                            .ok_or_else(|| ServeError::UnknownUser(user_id.clone()))?;
-                        Ok(ReturningMember {
-                            user_id,
-                            returning: ReturningUser::unchanged(prior),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, ServeError>>()?;
-                ServeRequest::Returning(members)
-            }
-            other => other,
-        };
-
-        // Split into per-shard sub-requests, remembering original
-        // positions (same shapes as the in-process dispatcher).
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let sub_requests: Vec<Option<ServeRequest>> = match request {
-            ServeRequest::NewUser(member) => {
-                let shard = shard_index(&member.user_id, n);
-                positions[shard].push(0);
-                let mut subs: Vec<Option<ServeRequest>> =
-                    (0..n).map(|_| None).collect();
-                subs[shard] = Some(ServeRequest::NewUser(member));
-                subs
-            }
-            ServeRequest::Batch(members) => {
-                split(members, &mut positions, n, |m| &m.user_id)
-                    .into_iter()
-                    .map(|ms| (!ms.is_empty()).then_some(ServeRequest::Batch(ms)))
-                    .collect()
-            }
-            ServeRequest::Returning(members) => {
-                split(members, &mut positions, n, |m| &m.user_id)
-                    .into_iter()
-                    .map(|ms| (!ms.is_empty()).then_some(ServeRequest::Returning(ms)))
-                    .collect()
-            }
-            // jit-analyze: allow(no-panic-paths) — Refresh returns earlier in this fn; this arm is unreachable by construction
-            ServeRequest::Refresh(_) => unreachable!("refresh resolved above"),
-        };
-
-        // One dedicated thread per active shard: these block on pipe
-        // I/O, which is exactly what blocking_map is for.
-        let active: Vec<(usize, Mutex<Option<ServeRequest>>)> = sub_requests
-            .into_iter()
-            .enumerate()
-            .filter_map(|(s, r)| r.map(|r| (s, Mutex::new(Some(r)))))
-            .collect();
-        let results: Vec<Result<WireResponse, ServeError>> =
-            jit_runtime::blocking_map(active.len(), |i| {
-                let (shard, sub) = &active[i];
-                // jit-analyze: allow(no-panic-paths) — blocking_map calls each index exactly once, so the slot is provably Some
-                let sub = sub.lock().take().expect("each sub-request runs once");
-                let first_user = all_ids[positions[*shard][0]].clone();
-                self.call_shard(*shard, sub, first_user)
-            });
-
-        // Deterministic error choice: earliest failing user in request
-        // order, exactly like the in-process dispatcher.
-        let mut first_error: Option<(usize, ServeError)> = None;
-        let mut responses: Vec<(usize, WireResponse)> = Vec::new();
-        for ((shard, _), result) in active.iter().zip(results) {
-            match result {
-                Ok(response) => responses.push((*shard, response)),
-                Err(error) => {
-                    let position = error_position(&error, &all_ids, &positions[*shard]);
-                    if first_error.as_ref().is_none_or(|(p, _)| position < *p) {
-                        first_error = Some((position, error));
-                    }
-                }
-            }
-        }
-        if let Some((_, error)) = first_error {
-            return Err(error);
-        }
-
-        // Reassemble in request order and merge the totals.
-        let total: usize = positions.iter().map(Vec::len).sum();
-        let mut slots: Vec<Option<wire::WireServedUser>> =
-            (0..total).map(|_| None).collect();
-        let mut report = WireReport::default();
-        for (shard, response) in responses {
-            report.users += response.report.users;
-            report.replayed_time_points += response.report.replayed_time_points;
-            report.recomputed_time_points += response.report.recomputed_time_points;
-            report.cold_time_points += response.report.cold_time_points;
-            for (user, position) in response.users.into_iter().zip(&positions[shard]) {
-                slots[*position] = Some(user);
-            }
-        }
-        // A shard worker is another process: a reply carrying fewer
-        // users than it was sent is a protocol violation to report, not
-        // an invariant to assert.
-        let mut users: Vec<wire::WireServedUser> = Vec::with_capacity(total);
-        for (position, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(user) => users.push(user),
-                None => {
-                    return Err(ServeError::Transport(format!(
-                        "shard worker dropped request position {position}"
-                    )))
-                }
-            }
-        }
-
-        // Persist snapshots into the supervisor's stores in request
-        // order — the same order (and the same mid-batch attribution)
-        // an unsharded service uses.
-        for user in &users {
-            let shard = shard_index(&user.user_id, n);
-            self.stores[shard].save(&user.user_id, &user.snapshot).map_err(
-                |error| ServeError::Store {
-                    user_id: Some(user.user_id.clone()),
-                    error,
-                },
-            )?;
-        }
-        Ok(WireResponse { users, report })
+        let (users, report) = serve_sharded(
+            request,
+            self.shards.len(),
+            |shard| self.stores[shard].as_ref(),
+            |n, task| jit_runtime::blocking_map(n, task),
+            |shard, sub| {
+                self.call_shard(
+                    shard,
+                    resolve_refresh(sub, self.stores[shard].as_ref())?,
+                )
+            },
+        )?;
+        Ok(WireResponse { users, report: WireReport::totals(&report) })
     }
 
     /// One shard RPC under the slot lock: ensure a live worker, send the
     /// sub-request, read the reply. Any transport failure kills and
-    /// detaches the worker and comes back as [`ServeError::Shard`].
+    /// detaches the worker and comes back as [`ServeError::Shard`],
+    /// naming the shard's first user.
     fn call_shard(
         &self,
         shard: usize,
         sub: ServeRequest,
-        first_user: String,
-    ) -> Result<WireResponse, ServeError> {
+    ) -> Result<Vec<WireServedUser>, ServeError> {
+        let first_user =
+            sub.user_ids().first().map(|id| id.to_string()).unwrap_or_default();
         let mut slot = self.shards[shard].lock();
         self.ensure_live(&mut slot).map_err(|detail| ServeError::Shard {
             shard,
@@ -535,8 +419,8 @@ impl ProcessShardBackend {
             });
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        match self.rpc(live, id, &sub) {
-            Ok(reply) => reply,
+        match self.rpc(live, id, sub) {
+            Ok(reply) => reply.map(|response| response.users),
             Err(detail) => {
                 // The worker is gone or desynchronized: kill, reap,
                 // detach. The next request respawns it.
@@ -556,9 +440,9 @@ impl ProcessShardBackend {
         &self,
         live: &mut LiveShard,
         id: u64,
-        sub: &ServeRequest,
+        sub: ServeRequest,
     ) -> Result<Result<WireResponse, ServeError>, String> {
-        let body = wire::encode_message(&Message::Serve { id, request: sub.clone() });
+        let body = wire::encode_message(&Message::Serve { id, request: sub });
         wire::write_frame(&mut live.stdin, &body, self.config.max_frame_len)
             .map_err(|e| format!("request write failed: {e}"))?;
         let reply = wire::read_frame(&mut live.stdout, self.config.max_frame_len)
@@ -658,19 +542,62 @@ impl ServeBackend for ProcessShardBackend {
     }
 }
 
-/// Partitions `members` into per-shard vectors, recording original
-/// positions (the `ShardedService::split` shape, shared here).
-fn split<M>(
-    members: Vec<M>,
-    positions: &mut [Vec<usize>],
-    n_shards: usize,
-    id_of: impl Fn(&M) -> &str,
-) -> Vec<Vec<M>> {
-    let mut out: Vec<Vec<M>> = (0..n_shards).map(|_| Vec::new()).collect();
-    for (position, member) in members.into_iter().enumerate() {
-        let shard = shard_index(id_of(&member), n_shards);
-        positions[shard].push(position);
-        out[shard].push(member);
+/// The shard worker's side of the pipe protocol, which `jit-shardd` runs
+/// over its stdin and stdout. It reads the `Hello` frame, trains the
+/// system its spec describes, answers `Ready` with the schema digest,
+/// then answers every `Serve` frame with the compute step over its own
+/// system and cell cache. It holds no store: the supervisor loads and
+/// saves every snapshot, so a `Refresh` frame gets a typed error. Returns
+/// at `Shutdown` or when the supervisor closes the pipe.
+///
+/// # Errors
+/// What ended the loop early: a failed handshake, training or frame
+/// exchange, or a message a worker never receives.
+pub fn serve_frames(
+    input: &mut impl Read,
+    output: &mut impl Write,
+) -> Result<(), String> {
+    let max = MAX_FRAME_LEN;
+    let body = wire::read_frame(input, max).map_err(|e| format!("hello read: {e}"))?;
+    let spec = match wire::decode_message(&body, None)
+        .map_err(|e| format!("hello decode: {e}"))?
+    {
+        Message::Hello(spec) => spec,
+        other => return Err(format!("expected Hello, got {other:?}")),
+    };
+    let system = spec.train().map_err(|e| format!("training failed: {e}"))?;
+    let cache = Arc::new(SharedCellCache::new());
+    let ready = wire::encode_message(&Message::Ready {
+        schema_digest: system.schema().content_digest(),
+    });
+    wire::write_frame(output, &ready, max).map_err(|e| format!("ready write: {e}"))?;
+
+    loop {
+        let body = match wire::read_frame(input, max) {
+            Ok(body) => body,
+            Err(wire::WireError::Closed) => return Ok(()),
+            Err(e) => return Err(format!("request read: {e}")),
+        };
+        let reply = match wire::decode_message(&body, Some(system.schema())) {
+            Ok(Message::Serve { id, request }) => {
+                match serve_jobs(&system, &cache, request) {
+                    Ok(users) => {
+                        let report = fold_report(users.iter().map(|user| (0, user)));
+                        let response = ServeResponse { users, report };
+                        Message::Served {
+                            id,
+                            response: WireResponse::from_response(&response),
+                        }
+                    }
+                    Err(error) => Message::Failed { id, error },
+                }
+            }
+            Ok(Message::Ping { id }) => Message::Pong { id },
+            Ok(Message::Shutdown) => return Ok(()),
+            Ok(other) => return Err(format!("unexpected message {other:?}")),
+            Err(e) => return Err(format!("request decode: {e}")),
+        };
+        wire::write_frame(output, &wire::encode_message(&reply), max)
+            .map_err(|e| format!("reply write: {e}"))?;
     }
-    out
 }

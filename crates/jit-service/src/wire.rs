@@ -65,7 +65,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::api::{
-    CohortMember, ReturningMember, ServeError, ServeRequest, ServeResponse,
+    CohortMember, ReturningMember, ServeError, ServeReport, ServeRequest, ServeResponse,
 };
 use crate::store::StoreError;
 use crate::supervisor::{DataSpec, TrainSpec};
@@ -597,13 +597,8 @@ pub(crate) fn decode_snapshot(
 /// Encodes a [`ServeRequest`] body (without frame or message tag).
 fn encode_request(out: &mut Vec<u8>, request: &ServeRequest) {
     match request {
-        ServeRequest::NewUser(m) => {
-            out.push(0);
-            encode_str(out, &m.user_id);
-            encode_user_request(out, &m.request);
-        }
         ServeRequest::Batch(ms) => {
-            out.push(1);
+            out.push(0);
             encode_u32(out, ms.len() as u32);
             for m in ms {
                 encode_str(out, &m.user_id);
@@ -611,7 +606,7 @@ fn encode_request(out: &mut Vec<u8>, request: &ServeRequest) {
             }
         }
         ServeRequest::Returning(ms) => {
-            out.push(2);
+            out.push(1);
             encode_u32(out, ms.len() as u32);
             for m in ms {
                 encode_str(out, &m.user_id);
@@ -620,7 +615,7 @@ fn encode_request(out: &mut Vec<u8>, request: &ServeRequest) {
             }
         }
         ServeRequest::Refresh(ids) => {
-            out.push(3);
+            out.push(2);
             encode_u32(out, ids.len() as u32);
             for id in ids {
                 encode_str(out, id);
@@ -634,13 +629,8 @@ fn decode_request(
     d: &mut Decoder<'_>,
     schema: &FeatureSchema,
 ) -> Result<ServeRequest, WireError> {
-    Ok(match d.tag(4, "request tag")? {
+    Ok(match d.tag(3, "request tag")? {
         0 => {
-            let user_id = d.str("user id")?;
-            let request = decode_user_request(d, schema)?;
-            ServeRequest::NewUser(CohortMember { user_id, request })
-        }
-        1 => {
             let n = d.u32("batch count")? as usize;
             let mut ms = Vec::with_capacity(n.min(PREALLOC));
             for _ in 0..n {
@@ -650,7 +640,7 @@ fn decode_request(
             }
             ServeRequest::Batch(ms)
         }
-        2 => {
+        1 => {
             let n = d.u32("returning count")? as usize;
             let mut ms = Vec::with_capacity(n.min(PREALLOC));
             for _ in 0..n {
@@ -730,12 +720,19 @@ impl WireResponse {
                     provenance: u.session.reserve_report().map(<[_]>::to_vec),
                 })
                 .collect(),
-            report: WireReport {
-                users: response.report.users,
-                replayed_time_points: response.report.replayed_time_points,
-                recomputed_time_points: response.report.recomputed_time_points,
-                cold_time_points: response.report.cold_time_points,
-            },
+            report: WireReport::totals(&response.report),
+        }
+    }
+}
+
+impl WireReport {
+    /// The totals of `report`.
+    pub(crate) fn totals(report: &ServeReport) -> Self {
+        WireReport {
+            users: report.users,
+            replayed_time_points: report.replayed_time_points,
+            recomputed_time_points: report.recomputed_time_points,
+            cold_time_points: report.cold_time_points,
         }
     }
 }
@@ -1378,11 +1375,12 @@ pub(crate) mod tests {
             id: 9,
             request: ServeRequest::new_user("u", request.clone()),
         });
-        let Ok(Message::Serve { request: ServeRequest::NewUser(back), .. }) =
+        let Ok(Message::Serve { request: ServeRequest::Batch(mut members), .. }) =
             decode_message(&body, Some(&schema))
         else {
             panic!("a new-user serve decodes");
         };
+        let back = members.remove(0);
         // The decoded request has the same structure, independently of
         // the encoder (a decoder swapping two op tags fails here) ...
         let (sent, got) =
@@ -1410,7 +1408,7 @@ pub(crate) mod tests {
         // ... and re-encodes to the same bytes, every float bit included.
         let again = encode_message(&Message::Serve {
             id: 9,
-            request: ServeRequest::NewUser(back),
+            request: ServeRequest::Batch(vec![back]),
         });
         assert_eq!(again, body);
     }

@@ -202,11 +202,16 @@ fn per_user_session_errors_carry_the_user_id() {
         constraints: prefs,
         update_fn: None,
     };
+    // Every failing user shares its batch with a good user on the other
+    // shard, so each batch spans both shards.
+    for bad in ["short", "foreign", "bad-prefs"] {
+        assert_ne!(sharded.shard_of(bad), sharded.shard_of("ok-0"), "{bad}");
+    }
     for tier in [&service as &dyn ServeBackend, &sharded] {
         // Wrong dimension (schema mismatch between profile and system).
         let err = tier
             .serve_wire(ServeRequest::batch([
-                john_member("fine"),
+                john_member("ok-0"),
                 CohortMember::new("short", UserRequest::new(vec![1.0])),
             ]))
             .unwrap_err();
@@ -223,7 +228,7 @@ fn per_user_session_errors_carry_the_user_id() {
         // An update function built for another schema.
         let err = tier
             .serve_wire(ServeRequest::batch([
-                john_member("fine"),
+                john_member("ok-0"),
                 CohortMember::new("foreign", foreign.clone()),
             ]))
             .unwrap_err();
@@ -239,7 +244,10 @@ fn per_user_session_errors_carry_the_user_id() {
         );
         // Unknown feature in preferences.
         let err = tier
-            .serve_wire(ServeRequest::new_user("bad-prefs", bad_prefs.clone()))
+            .serve_wire(ServeRequest::batch([
+                john_member("ok-0"),
+                CohortMember::new("bad-prefs", bad_prefs.clone()),
+            ]))
             .unwrap_err();
         assert!(
             matches!(
@@ -250,8 +258,12 @@ fn per_user_session_errors_carry_the_user_id() {
             "{err:?}"
         );
     }
-    // Nothing was stored for the failing batches (all-or-nothing).
+    // Nothing was stored for the failing batches (all-or-nothing), on
+    // any tier or shard.
     assert!(service.store().user_ids().unwrap().is_empty());
+    for shard in sharded.shards() {
+        assert!(shard.store().user_ids().unwrap().is_empty());
+    }
 }
 
 /// A store whose writes always fail — the fault-injection backend.

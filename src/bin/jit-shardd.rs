@@ -24,10 +24,10 @@
 // CLI tool: top-level unwraps abort with a message, which is the intended UX.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use jit_service::wire::{self, Message};
+use jit_service::supervisor::serve_frames;
 use jit_service::{
-    DataSpec, JitService, MemorySnapshotStore, NetServer, NetServerConfig,
-    NullSnapshotStore, ProcessShardBackend, ProcessShardConfig, TrainSpec,
+    DataSpec, MemorySnapshotStore, NetServer, NetServerConfig, ProcessShardBackend,
+    ProcessShardConfig, TrainSpec,
 };
 use std::io::{self, BufReader, Read, Write};
 use std::process::ExitCode;
@@ -57,51 +57,6 @@ fn worker_mode() -> ExitCode {
             eprintln!("jit-shardd worker: {message}");
             ExitCode::FAILURE
         }
-    }
-}
-
-fn serve_frames(input: &mut impl Read, output: &mut impl Write) -> Result<(), String> {
-    let max = wire::MAX_FRAME_LEN;
-    // Handshake: Hello carries everything needed to train; training is
-    // bit-deterministic, so every worker (and every restart) serves
-    // identically.
-    let body = wire::read_frame(input, max).map_err(|e| format!("hello read: {e}"))?;
-    let spec = match wire::decode_message(&body, None)
-        .map_err(|e| format!("hello decode: {e}"))?
-    {
-        Message::Hello(spec) => spec,
-        other => return Err(format!("expected Hello, got {other:?}")),
-    };
-    let system = spec.train().map_err(|e| format!("training failed: {e}"))?;
-    let schema = system.schema().clone();
-    let service = JitService::new(system, NullSnapshotStore::new());
-    let ready = wire::encode_message(&Message::Ready {
-        schema_digest: schema.content_digest(),
-    });
-    wire::write_frame(output, &ready, max).map_err(|e| format!("ready write: {e}"))?;
-
-    // Serve until shutdown or supervisor EOF.
-    loop {
-        let body = match wire::read_frame(input, max) {
-            Ok(body) => body,
-            Err(wire::WireError::Closed) => return Ok(()),
-            Err(e) => return Err(format!("request read: {e}")),
-        };
-        let reply = match wire::decode_message(&body, Some(&schema)) {
-            Ok(Message::Serve { id, request }) => match service.serve(request) {
-                Ok(response) => Message::Served {
-                    id,
-                    response: wire::WireResponse::from_response(&response),
-                },
-                Err(error) => Message::Failed { id, error },
-            },
-            Ok(Message::Ping { id }) => Message::Pong { id },
-            Ok(Message::Shutdown) => return Ok(()),
-            Ok(other) => return Err(format!("unexpected message {other:?}")),
-            Err(e) => return Err(format!("request decode: {e}")),
-        };
-        wire::write_frame(output, &wire::encode_message(&reply), max)
-            .map_err(|e| format!("reply write: {e}"))?;
     }
 }
 

@@ -120,11 +120,10 @@ pub mod prelude {
         DataSpec, DbSnapshotStore, InvalidationError, InvalidationOptions,
         InvalidationReport, InvalidationRun, JitService, LoadMode, LoadPlan,
         LoadReport, MemorySnapshotStore, NetClient, NetServer, NetServerConfig,
-        NullSnapshotStore, ProcessShardBackend, ProcessShardConfig,
-        RefreshAheadOptions, RefreshAheadReport, ReturningMember, ServeBackend,
-        ServeError, ServeReport, ServeRequest, ServeResponse, ServedUser, ServerStats,
-        ShardHealth, ShardReport, ShardedService, SnapshotStore, StoreError, TrainSpec,
-        WireReport, WireResponse,
+        ProcessShardBackend, ProcessShardConfig, RefreshAheadOptions,
+        RefreshAheadReport, ReturningMember, ServeBackend, ServeError, ServeReport,
+        ServeRequest, ServeResponse, ServedUser, ServerStats, ShardHealth, ShardReport,
+        ShardedService, SnapshotStore, StoreError, TrainSpec, WireReport, WireResponse,
     };
     pub use jit_temporal::future::{FutureModelsParams, FuturePredictor};
     pub use jit_temporal::update::{Override, TemporalUpdateFn};

@@ -4,6 +4,7 @@
 // Test code: assertion-style unwraps are the point.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use justintime::jit_service::wire;
 use justintime::prelude::*;
 
 fn tiny_slices(n_slices: usize, per: usize) -> (FeatureSchema, Vec<Dataset>) {
@@ -234,6 +235,175 @@ fn store_dying_mid_batch_is_attributed_to_the_first_lost_user() {
     let ids: Vec<&str> = response.users.iter().map(|u| u.user_id.as_str()).collect();
     assert_eq!(ids, vec!["u0", "u1", "u2", "u3"]);
     assert_eq!(store.user_ids().unwrap(), vec!["u0", "u1", "u2", "u3"]);
+}
+
+/// A store whose next load or save fails once with a transient error
+/// after [`HiccupStore::arm`] — the store-hiccup fixture.
+#[derive(Debug, Default)]
+struct HiccupStore {
+    inner: MemorySnapshotStore,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl HiccupStore {
+    fn arm(&self) {
+        self.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    fn is_armed(&self) -> bool {
+        self.armed.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    fn hiccup(&self) -> Result<(), StoreError> {
+        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            return Err(StoreError::Unavailable("store hiccup".to_string()));
+        }
+        Ok(())
+    }
+}
+
+impl SnapshotStore for HiccupStore {
+    fn save(
+        &self,
+        user_id: &str,
+        snapshot: &SessionSnapshot,
+    ) -> Result<(), StoreError> {
+        self.hiccup()?;
+        self.inner.save(user_id, snapshot)
+    }
+
+    fn load(&self, user_id: &str) -> Result<Option<SessionSnapshot>, StoreError> {
+        self.hiccup()?;
+        self.inner.load(user_id)
+    }
+
+    fn remove(&self, user_id: &str) -> Result<bool, StoreError> {
+        self.inner.remove(user_id)
+    }
+
+    fn user_ids(&self) -> Result<Vec<String>, StoreError> {
+        self.inner.user_ids()
+    }
+}
+
+/// The spec the process-tier tests' shard workers train from.
+fn tiny_spec() -> TrainSpec {
+    TrainSpec {
+        data: DataSpec { records_per_year: 60, n_years: 3, ..Default::default() },
+        config: tiny_config(1),
+    }
+}
+
+/// A 2-worker process backend over `stores`.
+fn process_backend(stores: &[std::sync::Arc<HiccupStore>]) -> ProcessShardBackend {
+    let shardd = env!("CARGO_BIN_EXE_jit-shardd");
+    ProcessShardBackend::spawn(
+        tiny_spec(),
+        ProcessShardConfig::new(shardd, stores.len()),
+        |s| std::sync::Arc::clone(&stores[s]) as std::sync::Arc<dyn SnapshotStore>,
+    )
+    .expect("spawn shard processes")
+}
+
+/// The first of `prefix-0`, `prefix-1`, ... that routes to `shard` of 2.
+fn id_on_shard(prefix: &str, shard: usize) -> String {
+    (0..)
+        .map(|i| format!("{prefix}-{i}"))
+        .find(|id| shard_index(id, 2) == shard)
+        .expect("jump hashing reaches every shard")
+}
+
+#[test]
+fn every_tier_retries_a_transient_store_error() {
+    use std::sync::Arc;
+    let system = Arc::new(tiny_spec().train().unwrap());
+    let stores = |n: usize| -> Vec<Arc<HiccupStore>> {
+        (0..n).map(|_| Arc::new(HiccupStore::default())).collect()
+    };
+    let (single, in_process, process) = (stores(1), stores(2), stores(2));
+    let service = JitService::with_shared(
+        Arc::clone(&system),
+        Arc::clone(&single[0]) as Arc<dyn SnapshotStore>,
+    );
+    let sharded = ShardedService::from_shared(Arc::clone(&system), 2, 2, |s| {
+        Arc::clone(&in_process[s]) as Arc<dyn SnapshotStore>
+    });
+    let backend = process_backend(&process);
+
+    // Users on both shards, so every armed store is hit.
+    let ids = [id_on_shard("u", 0), id_on_shard("u", 1), id_on_shard("v", 0)];
+    let members: Vec<CohortMember> =
+        ids.iter().map(|id| CohortMember::new(id.as_str(), john())).collect();
+    let tiers = [
+        (&service as &dyn ServeBackend, &single),
+        (&sharded, &in_process),
+        (&backend, &process),
+    ];
+    let mut reference: Vec<Vec<u8>> = Vec::new();
+    for (tier, stores) in tiers {
+        // A batch hits each store's first save, a refresh its first load.
+        for (step, request) in
+            [ServeRequest::batch(members.clone()), ServeRequest::refresh(ids.clone())]
+                .into_iter()
+                .enumerate()
+        {
+            stores.iter().for_each(|store| store.arm());
+            let response = tier.serve_wire(request).expect("one hiccup is retried");
+            assert!(
+                stores.iter().all(|store| !store.is_armed()),
+                "every store hiccuped"
+            );
+            let bytes = wire::response_bytes(&response);
+            match reference.get(step) {
+                Some(expected) => assert_eq!(&bytes, expected, "tiers agree"),
+                None => reference.push(bytes),
+            }
+        }
+        let mut stored: Vec<String> =
+            stores.iter().flat_map(|store| store.user_ids().unwrap()).collect();
+        stored.sort();
+        let mut expected = ids.to_vec();
+        expected.sort();
+        assert_eq!(stored, expected);
+    }
+    backend.shutdown();
+}
+
+#[test]
+fn process_tier_errors_are_typed_and_store_nothing() {
+    let stores: Vec<std::sync::Arc<HiccupStore>> =
+        (0..2).map(|_| Default::default()).collect();
+    let backend = process_backend(&stores);
+    for request in [ServeRequest::Batch(vec![]), ServeRequest::Refresh(vec![])] {
+        assert!(matches!(backend.serve(request), Err(ServeError::EmptyBatch)));
+    }
+    let dup = CohortMember::new("dup", john());
+    let err = backend.serve(ServeRequest::batch([dup.clone(), dup])).unwrap_err();
+    assert!(matches!(err, ServeError::DuplicateUser(id) if id == "dup"));
+
+    // Two shards fail; the failing user earliest in request order wins,
+    // whichever shard it is on.
+    let (on_0, on_1) = (id_on_shard("bad", 0), id_on_shard("bad", 1));
+    let short = |id: &str| CohortMember::new(id, UserRequest::new(vec![1.0]));
+    for (first, second) in [(&on_0, &on_1), (&on_1, &on_0)] {
+        let request = ServeRequest::batch([
+            CohortMember::new(id_on_shard("ok", 0), john()),
+            CohortMember::new(id_on_shard("ok", 1), john()),
+            short(first),
+            short(second),
+        ]);
+        let err = backend.serve(request).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Session { user_id, .. } if user_id == first),
+            "{err:?}"
+        );
+    }
+    // Nothing was stored for the failed batches, on either shard.
+    assert!(stores.iter().all(|store| store.user_ids().unwrap().is_empty()));
+
+    let err = backend.serve(ServeRequest::refresh(["nobody"])).unwrap_err();
+    assert!(matches!(err, ServeError::UnknownUser(id) if id == "nobody"));
+    backend.shutdown();
 }
 
 #[test]
