@@ -264,7 +264,7 @@ impl TrialCache {
 #[derive(Default)]
 struct CellConfidenceCache {
     map: CellMap,
-    /// Scratch for full-profile probes' cell vectors.
+    /// Scratch for the cell vector being probed (full profile or trial).
     cells: Vec<u32>,
     /// Cell vector of the current bisection's seeded base profile.
     base_cells: Vec<u32>,
@@ -273,9 +273,10 @@ struct CellConfidenceCache {
     /// The shared slot for the current model key, probed on private
     /// misses (see [`SharedCellCache`]). `None` runs fully private.
     shared: Option<Arc<Mutex<CellMap>>>,
-    /// Cells computed (not shared-hit) since the last publish, staged so
-    /// a run takes the shared lock once instead of per miss.
-    pending: Vec<(u64, Box<[u32]>, f64)>,
+    /// Hash and private-memo entry of each cell computed (not
+    /// shared-hit) since the last publish, staged so a run takes the
+    /// shared lock once instead of per miss.
+    pending: Vec<(u64, u32)>,
 }
 
 /// A cross-user confidence memo shared by many [`TimelineSearch`]
@@ -293,16 +294,24 @@ struct CellConfidenceCache {
 /// once per probe-miss burst, not per model evaluation. Concurrent
 /// engines may race to compute the same cell; both compute identical
 /// bits and the duplicate publish is dropped.
+///
+/// Each slot stores its cells packed (see `CellMap`): one index entry
+/// per distinct cell hash, and the cell vectors, confidences and
+/// collision chains back to back in flat arrays, so a cell costs its
+/// payload and a link rather than allocations of its own. A hit still
+/// walks the hash's chain and compares the whole cell vector, exactly
+/// as the private memo does.
 #[derive(Default)]
 pub struct SharedCellCache {
     slots: Mutex<HashMap<Digest, Arc<Mutex<CellMap>>>>,
 }
 
 /// Acquires a cache mutex, entering it even when a panicking thread
-/// poisoned it: every stored value is a finished, verified cell vector
-/// inserted whole under the lock, so the map is consistent no matter
-/// where a writer died. Lock order is strictly outer slot-map before
-/// inner cell-map, never the reverse.
+/// poisoned it: every stored value is a finished, verified cell vector,
+/// and `CellMap::insert` reserves before it writes, so an entry lands
+/// whole under the lock or not at all and the map is consistent no
+/// matter where a writer died. Lock order is strictly outer slot-map
+/// before inner cell-map, never the reverse.
 fn lock_cache<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -336,10 +345,7 @@ impl SharedCellCache {
     /// observability number only: it depends on thread scheduling and
     /// must never feed deterministic reports.
     pub fn cell_count(&self) -> usize {
-        lock_cache(&self.slots)
-            .values()
-            .map(|slot| lock_cache(slot).values().map(Vec::len).sum::<usize>())
-            .sum()
+        lock_cache(&self.slots).values().map(|slot| lock_cache(slot).len()).sum()
     }
 }
 
@@ -351,10 +357,97 @@ impl std::fmt::Debug for SharedCellCache {
     }
 }
 
-/// Hash-bucketed cell-vector memo: key is the mixed cell hash, each
-/// bucket holds `(exact cells, confidence)` pairs for verification.
-type CellMap =
-    HashMap<u64, Vec<(Box<[u32]>, f64)>, std::hash::BuildHasherDefault<KeyHasher>>;
+/// Packed cell-vector memo: `cell hash → confidence`, with every hit
+/// verified against the exact cell vector.
+///
+/// Entries live back to back in flat arrays — entry `e`'s cell vector
+/// is `cells[e * dim..(e + 1) * dim]`, its confidence `conf[e]` — and
+/// `index` maps each hash to the newest entry carrying it, with `next`
+/// chaining older entries under the same hash. A cell thus costs its
+/// payload plus one `u32` link and, for a new hash, one index slot,
+/// with no allocation of its own. A probe walks its hash's chain and
+/// compares the whole vector slot for slot, so a collision can never
+/// smuggle in a wrong confidence, and a vector whose length differs
+/// from the stored ones never matches.
+#[derive(Default)]
+struct CellMap {
+    /// Cell hash → newest entry with that hash.
+    index: HashMap<u64, u32, std::hash::BuildHasherDefault<KeyHasher>>,
+    /// Entries' cell vectors, `dim` slots each.
+    cells: Vec<u32>,
+    /// Entries' confidences.
+    conf: Vec<f64>,
+    /// Per entry, the next older entry with the same hash, or
+    /// [`CHAIN_END`].
+    next: Vec<u32>,
+    /// Length of every stored cell vector, set by the first insert.
+    dim: usize,
+}
+
+/// Ends a [`CellMap`] collision chain (and caps its entry count).
+const CHAIN_END: u32 = u32::MAX;
+
+impl CellMap {
+    /// Number of memoized cell vectors.
+    fn len(&self) -> usize {
+        self.conf.len()
+    }
+
+    /// Empties the map, keeping its allocations.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.cells.clear();
+        self.conf.clear();
+        self.next.clear();
+        self.dim = 0;
+    }
+
+    /// Entry `e`'s cell vector and confidence.
+    fn entry(&self, e: u32) -> (&[u32], f64) {
+        let i = e as usize;
+        (&self.cells[i * self.dim..(i + 1) * self.dim], self.conf[i])
+    }
+
+    /// The confidence stored for exactly `cells` under hash `h`.
+    fn get(&self, h: u64, cells: &[u32]) -> Option<f64> {
+        if cells.len() != self.dim {
+            return None;
+        }
+        let mut e = *self.index.get(&h)?;
+        while e != CHAIN_END {
+            let (stored, conf) = self.entry(e);
+            if stored == cells {
+                return Some(conf);
+            }
+            e = self.next[e as usize];
+        }
+        None
+    }
+
+    /// Appends `cells → conf` under hash `h` (the caller has checked it
+    /// is absent) and returns the new entry. A vector of another length
+    /// than the stored ones, or a full map, stores nothing: a miss
+    /// recomputes, so dropping an entry is always sound.
+    fn insert(&mut self, h: u64, cells: &[u32], conf: f64) -> Option<u32> {
+        if self.conf.is_empty() {
+            self.dim = cells.len();
+        }
+        if cells.len() != self.dim {
+            return None;
+        }
+        let e = u32::try_from(self.conf.len()).ok().filter(|&e| e != CHAIN_END)?;
+        // Reserve before the first write, so nothing below can panic: an
+        // entry lands whole or not at all (see `lock_cache`).
+        self.index.reserve(1);
+        self.cells.reserve(cells.len());
+        self.conf.reserve(1);
+        self.next.reserve(1);
+        self.cells.extend_from_slice(cells);
+        self.conf.push(conf);
+        self.next.push(self.index.insert(h, e).unwrap_or(CHAIN_END));
+        Some(e)
+    }
+}
 
 /// One avalanched hash term per `(feature, cell)` coordinate; cell
 /// vectors hash to the wrapping sum of their terms.
@@ -395,41 +488,30 @@ impl CellConfidenceCache {
             return model.predict_proba(profile);
         };
         let h = fold_cells(per_feature, profile, &mut self.cells);
-        if let Some(bucket) = self.map.get(&h) {
-            if let Some((_, conf)) =
-                bucket.iter().find(|(cells, _)| cells[..] == self.cells[..])
-            {
-                return *conf;
-            }
-        }
-        let cells: Box<[u32]> = self.cells.as_slice().into();
-        let conf = match self.probe_shared(h, &cells) {
+        match self.map.get(h, &self.cells) {
             Some(conf) => conf,
-            None => {
-                let conf = model.predict_proba(profile);
-                if self.shared.is_some() {
-                    self.pending.push((h, cells.clone(), conf));
-                }
-                conf
-            }
-        };
-        self.map.entry(h).or_default().push((cells, conf));
+            None => self.miss(model, profile, h),
+        }
+    }
+
+    /// Resolves a private-memo miss for the cell vector in `self.cells`
+    /// (hash `h`): the bound shared slot's entry when it holds that exact
+    /// vector, else the model's confidence, staged for publishing. The
+    /// private memo keeps the result either way.
+    fn miss(&mut self, model: &dyn Model, profile: &[f64], h: u64) -> f64 {
+        let shared_conf = self
+            .shared
+            .as_ref()
+            .and_then(|shared| lock_cache(shared).get(h, &self.cells));
+        let conf = shared_conf.unwrap_or_else(|| model.predict_proba(profile));
+        let entry = self.map.insert(h, &self.cells, conf);
+        if let (Some(_), None, Some(e)) = (&self.shared, shared_conf, entry) {
+            self.pending.push((h, e));
+        }
         conf
     }
 
-    /// Probes the bound shared slot for an exact cell-vector match.
-    /// Verification is the same as the private path: a hash hit counts
-    /// only when the stored vector equals `cells` slot for slot.
-    fn probe_shared(&self, h: u64, cells: &[u32]) -> Option<f64> {
-        let shared = self.shared.as_ref()?;
-        let map = lock_cache(shared);
-        map.get(&h)?
-            .iter()
-            .find(|(stored, _)| stored[..] == cells[..])
-            .map(|(_, conf)| *conf)
-    }
-
-    /// Drains staged cells into the bound shared slot (no-op when
+    /// Copies staged cells into the bound shared slot (no-op when
     /// unbound). Duplicates computed concurrently by another engine are
     /// dropped — both computed identical bits, so either copy serves.
     fn publish(&mut self) {
@@ -440,11 +522,11 @@ impl CellConfidenceCache {
         if self.pending.is_empty() {
             return;
         }
-        let mut map = lock_cache(shared);
-        for (h, cells, conf) in self.pending.drain(..) {
-            let bucket = map.entry(h).or_default();
-            if !bucket.iter().any(|(stored, _)| stored[..] == cells[..]) {
-                bucket.push((cells, conf));
+        let mut slot = lock_cache(shared);
+        for (h, e) in self.pending.drain(..) {
+            let (cells, conf) = self.map.entry(e);
+            if slot.get(h, cells).is_none() {
+                slot.insert(h, cells, conf);
             }
         }
     }
@@ -471,37 +553,13 @@ impl CellConfidenceCache {
             .base_hash
             .wrapping_sub(cell_term(f, self.base_cells[f]))
             .wrapping_add(cell_term(f, cell));
-        if let Some(bucket) = self.map.get(&h) {
-            let hit = bucket.iter().find(|(cells, _)| {
-                cells.len() == self.base_cells.len()
-                    && cells.iter().zip(&self.base_cells).enumerate().all(
-                        |(i, (stored, base))| {
-                            if i == f {
-                                *stored == cell
-                            } else {
-                                stored == base
-                            }
-                        },
-                    )
-            });
-            if let Some((_, conf)) = hit {
-                return *conf;
-            }
-        }
-        let mut trial_cells: Box<[u32]> = self.base_cells.as_slice().into();
-        trial_cells[f] = cell;
-        let conf = match self.probe_shared(h, &trial_cells) {
+        self.cells.clear();
+        self.cells.extend_from_slice(&self.base_cells);
+        self.cells[f] = cell;
+        match self.map.get(h, &self.cells) {
             Some(conf) => conf,
-            None => {
-                let conf = model.predict_proba(profile);
-                if self.shared.is_some() {
-                    self.pending.push((h, trial_cells.clone(), conf));
-                }
-                conf
-            }
-        };
-        self.map.entry(h).or_default().push((trial_cells, conf));
-        conf
+            None => self.miss(model, profile, h),
+        }
     }
 }
 
@@ -1604,6 +1662,111 @@ mod tests {
         assert_eq!(bits(&out), bits(&cold));
         assert_eq!(cache.model_count(), 0);
         assert_eq!(cache.cell_count(), 0);
+    }
+
+    /// A model that counts its evaluations: a memo hit leaves the count
+    /// unchanged.
+    #[derive(Default)]
+    struct CountingModel(std::sync::atomic::AtomicUsize);
+
+    impl CountingModel {
+        fn calls(&self) -> usize {
+            self.0.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl Model for CountingModel {
+        fn dim(&self) -> usize {
+            3
+        }
+
+        fn predict_proba(&self, _: &[f64]) -> f64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            0.5
+        }
+    }
+
+    #[test]
+    fn packed_cell_map_verifies_whole_vectors_along_a_collision_chain() {
+        // Two distinct vectors forced under one hash: each is found with
+        // its own confidence, and a third vector under that hash misses.
+        let mut map = CellMap::default();
+        assert_eq!(map.insert(42, &[1, 2, 3], 0.25), Some(0));
+        assert_eq!(map.insert(42, &[3, 2, 1], 0.75), Some(1));
+        assert_eq!(map.get(42, &[1, 2, 3]), Some(0.25));
+        assert_eq!(map.get(42, &[3, 2, 1]), Some(0.75));
+        assert_eq!(map.get(42, &[2, 2, 2]), None);
+        assert_eq!(map.get(43, &[1, 2, 3]), None);
+        // A vector of a different length never matches and is not stored.
+        assert_eq!(map.get(42, &[1, 2]), None);
+        assert_eq!(map.get(42, &[1, 2, 3, 0]), None);
+        assert_eq!(map.insert(42, &[1, 2], 0.5), None);
+        assert_eq!(map.len(), 2);
+        // A cleared map takes its vector length from the next insert.
+        map.clear();
+        assert_eq!(map.len(), 0);
+        assert_eq!(map.get(42, &[1, 2, 3]), None);
+        assert_eq!(map.insert(42, &[9], 0.5), Some(0));
+        assert_eq!(map.get(42, &[9]), Some(0.5));
+    }
+
+    #[test]
+    fn trial_probe_hits_through_a_collision_chain() {
+        let per_feature = vec![vec![0.5, 1.5], vec![0.5], vec![10.0]];
+        let model = CountingModel::default();
+        let mut cache = CellConfidenceCache::default();
+        cache.seed_base(&per_feature, &[0.0, 0.0, 0.0]);
+        // The trial moves feature 0 into cell 1: cells [1, 0, 0]. Its
+        // entry sits behind a decoy at the head of the same hash's chain.
+        let trial = [1.0, 0.0, 0.0];
+        let h = fold_cells(&per_feature, &trial, &mut Vec::new());
+        cache.map.insert(h, &[1, 0, 0], 0.625);
+        cache.map.insert(h, &[0, 0, 1], 0.125);
+        assert_eq!(cache.trial(&model, &per_feature, 0, &trial), 0.625);
+        assert_eq!(model.calls(), 0, "a chained hit must not evaluate the model");
+        // An absent vector is evaluated once, then hits.
+        let other = [2.0, 0.0, 0.0];
+        assert_eq!(cache.trial(&model, &per_feature, 0, &other), 0.5);
+        assert_eq!(cache.trial(&model, &per_feature, 0, &other), 0.5);
+        assert_eq!(model.calls(), 1);
+        assert_eq!(cache.map.len(), 3);
+    }
+
+    #[test]
+    fn publishing_a_held_cell_keeps_one_entry_and_cell_count_counts_entries() {
+        let per_feature = vec![vec![0.5], vec![0.5], vec![0.5]];
+        let model = CountingModel::default();
+        let shared = SharedCellCache::new();
+        let key = Digest([1, 2]);
+        let engine = || CellConfidenceCache {
+            shared: Some(shared.slot(key)),
+            ..CellConfidenceCache::default()
+        };
+        // Two engines compute the same cell before either publishes.
+        let (mut a, mut b) = (engine(), engine());
+        let profile = [1.0, 0.0, 1.0];
+        a.confidence(&model, Some(&per_feature), &profile);
+        b.confidence(&model, Some(&per_feature), &profile);
+        assert_eq!(model.calls(), 2);
+        a.publish();
+        b.publish();
+        assert_eq!(shared.cell_count(), 1, "the duplicate publish is dropped");
+        // A third engine hits the slot, and a shared hit is not restaged.
+        let mut c = engine();
+        c.confidence(&model, Some(&per_feature), &profile);
+        assert_eq!(model.calls(), 2);
+        c.publish();
+        assert_eq!(shared.cell_count(), 1);
+        // Entries are counted one by one, colliding ones and other
+        // slots' included.
+        {
+            let slot = shared.slot(key);
+            lock_cache(&slot).insert(7, &[0, 0, 0], 0.25);
+            lock_cache(&slot).insert(7, &[1, 1, 1], 0.75);
+        }
+        lock_cache(&shared.slot(Digest([3, 4]))).insert(7, &[0, 0, 0], 0.25);
+        assert_eq!(shared.cell_count(), 4);
+        assert_eq!(shared.model_count(), 2);
     }
 
     #[test]

@@ -179,7 +179,14 @@ impl From<WireError> for ServeError {
 // Frame I/O
 // ---------------------------------------------------------------------
 
-/// Writes one frame (`len` prefix + `body`).
+/// Writes one frame (`len` prefix + `body`), then flushes.
+///
+/// The prefix and body are copied into one buffer and handed to `w` in
+/// a single `write_all`, so an unbuffered stream sees one `write` per
+/// frame. On a TCP socket, two writes per frame let Nagle's algorithm
+/// hold the body back until the peer's delayed ACK of the prefix (~44 ms
+/// each way on Linux loopback); on a shard worker's pipe they cost two
+/// syscalls.
 ///
 /// # Errors
 /// [`WireError::Oversized`] when `body` exceeds `max` (nothing is
@@ -189,11 +196,14 @@ pub fn write_frame(
     body: &[u8],
     max: usize,
 ) -> Result<(), WireError> {
-    if body.len() > max || body.len() > u32::MAX as usize {
-        return Err(WireError::Oversized { len: body.len(), max });
-    }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let len = match u32::try_from(body.len()) {
+        Ok(len) if body.len() <= max => len,
+        _ => return Err(WireError::Oversized { len: body.len(), max }),
+    };
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -1305,6 +1315,29 @@ pub(crate) mod tests {
         // Truncated inside the length prefix itself.
         let mut r = &[1u8, 0][..];
         assert!(matches!(read_frame(&mut r, 64), Err(WireError::Io(_))));
+        // One `write` per frame: a socket (Nagle) or an unbuffered pipe
+        // must never see the prefix and the body as separate writes.
+        #[derive(Default)]
+        struct CountingWriter {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(data);
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut counted = CountingWriter::default();
+        write_frame(&mut counted, b"hello", 64).unwrap();
+        assert_eq!(counted.writes, 1, "a frame must go out in one write");
+        write_frame(&mut counted, b"", 64).unwrap();
+        assert_eq!(counted.writes, 2, "an empty frame is one write too");
+        assert_eq!(counted.bytes, buf, "same bytes as the buffered frames");
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //!   closed connection, with the server still serving others;
 //! * admission-queue overflow sheds with [`ServeError::Overloaded`],
 //!   deterministically (the test controls queue occupancy exactly; no
-//!   timing assumptions).
+//!   timing assumptions);
+//! * loopback round trips never wait on a delayed ACK, whether they run
+//!   one after another or two at a time on one connection.
 //!
 //! No sleep-based correctness anywhere: tests poll observable state
 //! ([`NetServer::stats`], [`ProcessShardBackend::health`]) with a
-//! deadline.
+//! deadline. The one elapsed-time bound is the delayed-ACK test's: a
+//! median round trip under 20 ms, half Linux's 40 ms minimum
+//! delayed-ACK timeout and ~360× the ~55 µs the stall-free path takes,
+//! so only a stall, not a slow machine, can fail it.
 
 // Test code: assertion-style unwraps are the point.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -328,5 +333,91 @@ fn queue_overflow_sheds_with_a_typed_overloaded_error() {
         ));
     }
     assert!(wait_until(DEADLINE, || server.stats().served == 2));
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Transport latency: no delayed-ACK stall
+// ---------------------------------------------------------------------
+
+/// Half Linux's 40 ms minimum delayed-ACK timeout: a round trip that
+/// waits on a delayed ACK cannot come in under it.
+const STALL_FLOOR: Duration = Duration::from_millis(20);
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+#[test]
+fn loopback_round_trips_stay_under_the_delayed_ack_floor() {
+    let backend = Arc::new(GatedBackend::new());
+    backend.release();
+    let server = NetServer::bind(
+        Arc::clone(&backend) as Arc<dyn ServeBackend>,
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+    )
+    .expect("bind");
+
+    // (a) Sequential round trips: a frame split into two writes waits
+    // for the peer's delayed ACK before its body leaves.
+    let mut client =
+        NetClient::connect(server.addr(), backend.schema.clone()).expect("connect");
+    let pings: Vec<Duration> = (0..32)
+        .map(|_| {
+            let start = Instant::now();
+            client.ping().expect("ping");
+            start.elapsed()
+        })
+        .collect();
+    let serves: Vec<Duration> = (0..32)
+        .map(|i| {
+            let request =
+                ServeRequest::new_user(format!("rt-{i}"), UserRequest::new(vec![1.0]));
+            let start = Instant::now();
+            client.serve(request).expect("serve");
+            start.elapsed()
+        })
+        .collect();
+    let (ping, serve) = (median(pings), median(serves));
+    assert!(ping < STALL_FLOOR, "median ping {ping:?} waited on a delayed ACK");
+    assert!(serve < STALL_FLOOR, "median serve {serve:?} waited on a delayed ACK");
+
+    // (b) Two requests in flight on one connection: the second reply is
+    // written while the first is unacknowledged, which Nagle holds back
+    // unless the server sets TCP_NODELAY.
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let pairs: Vec<Duration> = (0..16u64)
+        .map(|round| {
+            let (a, b) = (2 * round + 1, 2 * round + 2);
+            let mut frames = Vec::new();
+            for id in [a, b] {
+                wire::write_frame(&mut frames, &probe_request(id), wire::MAX_FRAME_LEN)
+                    .unwrap();
+            }
+            let start = Instant::now();
+            raw.write_all(&frames).expect("write both frames");
+            let mut ids: Vec<u64> = (0..2)
+                .map(|_| {
+                    let body =
+                        wire::read_frame(&mut raw, wire::MAX_FRAME_LEN).expect("reply");
+                    match wire::decode_message(&body, Some(&backend.schema)) {
+                        Ok(Message::Served { id, .. }) => id,
+                        other => panic!("expected a Served reply, got {other:?}"),
+                    }
+                })
+                .collect();
+            let elapsed = start.elapsed();
+            ids.sort_unstable();
+            assert_eq!(ids, [a, b], "both requests answered");
+            elapsed
+        })
+        .collect();
+    let pair = median(pairs);
+    assert!(
+        pair < STALL_FLOOR,
+        "median pipelined pair {pair:?} waited on a delayed ACK"
+    );
     server.shutdown();
 }
