@@ -64,7 +64,8 @@ pub const SUPPRESSABLE: &[&str] =
 /// path in `jit-service` (request types, the single-shard and sharded
 /// steps, refresh-ahead, wire, net, supervisor) and its snapshot stores
 /// (which decode bytes recovered from disk), plus `jit-db`'s binary
-/// codec and WAL recovery.
+/// codec, WAL recovery, and the catalog and tables its replay applies
+/// batches through.
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/jit-service/src/api.rs",
     "crates/jit-service/src/wire.rs",
@@ -78,6 +79,8 @@ pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/jit-service/src/invalidation.rs",
     "crates/jit-db/src/codec.rs",
     "crates/jit-db/src/wal.rs",
+    "crates/jit-db/src/catalog.rs",
+    "crates/jit-db/src/table.rs",
 ];
 
 /// Files whose output feeds digests, stable snapshots or wire frames:

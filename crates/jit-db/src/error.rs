@@ -57,8 +57,9 @@ pub enum DbError {
         /// Rendered OS error.
         detail: String,
     },
-    /// The write-ahead log file is unusable (bad magic, wrong version,
-    /// or poisoned after a failed rollback).
+    /// The write-ahead log file is unusable (bad magic, wrong version, a
+    /// committed record this build cannot replay, or poisoned after a
+    /// failed rollback).
     Wal(String),
     /// A prepared statement was executed with the wrong number of
     /// parameters, or an unbound `?` was evaluated.

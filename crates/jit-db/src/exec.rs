@@ -151,7 +151,6 @@ impl<'a> Executor<'a> {
             rows_scanned: self.rows_scanned.get(),
             bytes_scanned: self.bytes_scanned.get(),
             rows_output: 0,
-            wal_bytes_written: 0,
         }
     }
 

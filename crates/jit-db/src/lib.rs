@@ -38,21 +38,26 @@
 //! on the hot path, and float parameters stay bit-exact (NaN payloads,
 //! `-0.0`). Store-shaped SELECTs additionally compile to a direct scan
 //! plan. Every execution reports [`ExecutionMetrics`] (rows/bytes
-//! scanned, rows output, WAL bytes written).
+//! scanned, rows output).
 //!
 //! ## Durability
 //!
 //! [`DurableDatabase`] (in [`wal`]) wraps a [`Database`] with an
 //! append-only write-ahead log behind the pluggable [`DbFile`] trait.
-//! The contract, in one paragraph: a commit is acknowledged only after
-//! its batch is encoded into a checksummed record, appended, and
-//! flushed; reopening replays the log to the last valid record and
+//! Its one write path is [`DurableDatabase::commit`] of a typed
+//! [`WalOp`] batch, the same batch [`Database::apply`] validates and
+//! applies under one table write lock. The contract, in one paragraph:
+//! a commit is acknowledged only after its batch is validated, encoded
+//! into a checksummed record, appended, and flushed; reopening replays
+//! the log through [`Database::apply`] to the last valid record and
 //! truncates any torn or corrupt tail, so recovery always lands on the
-//! longest committed prefix — never a partial batch, never a panic.
-//! Checkpoints fold the log into one full-image record via an atomic
-//! file replace, bounding log growth and reopen time. See the [`wal`]
-//! module docs for the failure-handling fine print (rollback on failed
-//! append/sync, poisoning, and the fault-injection harness).
+//! longest committed prefix — never a partial batch, never a panic. A
+//! record whose checksum verifies but which this build cannot decode
+//! refuses the open instead of being truncated. Checkpoints fold the log
+//! into one full-image record via an atomic file replace, bounding log
+//! growth and reopen time. See the [`wal`] module docs for the
+//! failure-handling fine print (rollback on failed append/sync,
+//! poisoning, and the fault-injection harness).
 
 #![forbid(unsafe_code)]
 

@@ -26,7 +26,6 @@ pub struct Prepared {
     stmt: Statement,
     param_count: usize,
     plan: Option<SimplePlan>,
-    text: String,
 }
 
 impl Prepared {
@@ -38,7 +37,7 @@ impl Prepared {
             Statement::Select(q) => SimplePlan::from_select(q),
             _ => None,
         };
-        Ok(Prepared { stmt, param_count, plan, text: sql.to_string() })
+        Ok(Prepared { stmt, param_count, plan })
     }
 
     /// Number of `?` parameters the statement takes.
@@ -46,19 +45,9 @@ impl Prepared {
         self.param_count
     }
 
-    /// `true` for SELECT statements (reads; safe outside the WAL).
-    pub fn is_select(&self) -> bool {
-        matches!(self.stmt, Statement::Select(_))
-    }
-
     /// `true` when the fast direct-scan plan applies.
     pub fn has_simple_plan(&self) -> bool {
         self.plan.is_some()
-    }
-
-    /// The original SQL text.
-    pub fn text(&self) -> &str {
-        &self.text
     }
 
     pub(crate) fn statement(&self) -> &Statement {
@@ -163,7 +152,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.param_count(), 1);
-        assert!(p.is_select());
         assert!(p.has_simple_plan());
     }
 
@@ -197,9 +185,7 @@ mod tests {
     fn non_select_statements_compile() {
         let p = Prepared::compile("INSERT INTO t VALUES (?, ?)").unwrap();
         assert_eq!(p.param_count(), 2);
-        assert!(!p.is_select());
         let p = Prepared::compile("DELETE FROM t WHERE a = ?").unwrap();
         assert_eq!(p.param_count(), 1);
-        assert_eq!(p.text(), "DELETE FROM t WHERE a = ?");
     }
 }

@@ -8,9 +8,7 @@ use std::fmt;
 /// `rows_scanned`/`bytes_scanned` meter rows materialized from base
 /// tables (bytes in the binary codec's encoding, via
 /// [`crate::codec::encoded_len`]); subquery scans accumulate into the
-/// outer statement's totals. `wal_bytes_written` is stamped by the
-/// durability layer ([`crate::wal::DurableDatabase`]) and stays zero
-/// for plain in-memory execution.
+/// outer statement's totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecutionMetrics {
     /// Base-table rows materialized during execution.
@@ -19,8 +17,6 @@ pub struct ExecutionMetrics {
     pub bytes_scanned: u64,
     /// Rows in the final result.
     pub rows_output: u64,
-    /// Bytes appended to the write-ahead log by this statement.
-    pub wal_bytes_written: u64,
 }
 
 /// The materialized result of a statement.

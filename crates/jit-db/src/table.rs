@@ -1,5 +1,9 @@
 //! Tables: schema + row storage + hash secondary indexes.
 
+// WAL replay applies logged batches through these tables, so panics are
+// denied outright here (tests excepted).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::error::DbError;
 use crate::value::{ColumnType, Value};
 use std::collections::HashMap;
@@ -88,6 +92,68 @@ impl Table {
             Value::Text(s) => index.get(s).map_or(&[][..], Vec::as_slice),
             _ => &[],
         })
+    }
+
+    /// Deletes every row whose column at `column` SQL-equals `value` and
+    /// returns how many went. On an indexed column the rows come from the
+    /// index and each is swap-removed with index fix-ups, so the work
+    /// does not grow with the table; other rows may change position.
+    /// An unindexed column is scanned, keeping row order.
+    pub(crate) fn delete_eq(&mut self, column: usize, value: &Value) -> usize {
+        if let Some(positions) = self.index_probe(column, value) {
+            let positions = positions.to_vec();
+            // Descending, so every position still to remove stays valid.
+            for &position in positions.iter().rev() {
+                self.swap_remove_row(position);
+            }
+            return positions.len();
+        }
+        let before = self.rows.len();
+        self.rows.retain(|row| !row.get(column).is_some_and(|v| v.sql_eq(value)));
+        let removed = before - self.rows.len();
+        if removed > 0 {
+            self.rebuild_indexes();
+        }
+        removed
+    }
+
+    /// Removes the row at `position` by moving the last row into its
+    /// place, then patches every index: the removed row's entries go,
+    /// and the moved row's entry changes from the old last position to
+    /// `position`, each position list kept ascending.
+    fn swap_remove_row(&mut self, position: usize) {
+        let Some(last) = self.rows.len().checked_sub(1).filter(|&l| position <= l)
+        else {
+            return;
+        };
+        for (&column, index) in &mut self.indexes {
+            let key_at = |at: usize| match self.rows.get(at)?.get(column)? {
+                Value::Text(key) => Some(key),
+                _ => None,
+            };
+            if let Some(key) = key_at(position) {
+                if let Some(list) = index.get_mut(key) {
+                    if let Ok(i) = list.binary_search(&position) {
+                        list.remove(i);
+                    }
+                    if list.is_empty() {
+                        index.remove(key);
+                    }
+                }
+            }
+            if position == last {
+                continue;
+            }
+            if let Some(list) = key_at(last).and_then(|key| index.get_mut(key)) {
+                if let Ok(i) = list.binary_search(&last) {
+                    list.remove(i);
+                }
+                if let Err(i) = list.binary_search(&position) {
+                    list.insert(i, position);
+                }
+            }
+        }
+        self.rows.swap_remove(position);
     }
 
     /// Rebuilds every declared index from current row positions. Called

@@ -2,18 +2,23 @@
 //!
 //! # The durability contract
 //!
-//! * **Commit** means: the operation batch was encoded into one
-//!   length-prefixed, checksummed WAL record, appended to the log file,
-//!   and (with [`WalConfig::sync_on_commit`], the default) flushed to
-//!   stable storage — *before* any in-memory table is touched. A batch
-//!   is crash-atomic: after recovery either all of its ops are in
-//!   effect or none are.
+//! * **Commit** ([`DurableDatabase::commit`], the only write path)
+//!   means: the typed operation batch was validated, encoded into one
+//!   length-prefixed, checksummed WAL record, appended to the log file
+//!   and flushed to stable storage — *before* any in-memory table is
+//!   touched. It is then applied by [`Database::apply`] under one table
+//!   write lock. A batch is crash-atomic: after recovery either all of
+//!   its ops are in effect or none are.
 //! * **Recovery** ([`DurableDatabase::open`]) replays the log from the
-//!   last checkpoint, stopping at the first record whose length,
-//!   checksum or payload fails to validate; everything from that point
-//!   on (a torn append, a media bit flip) is truncated away. Recovery
-//!   never panics and never surfaces uncommitted rows: the reopened
-//!   state is always the longest committed prefix of the log.
+//!   last checkpoint through the same [`Database::apply`], stopping at
+//!   the first record whose length or checksum fails to verify;
+//!   everything from that point on (a torn append, a media bit flip) is
+//!   truncated away. Recovery never panics and never surfaces
+//!   uncommitted rows: the reopened state is always the longest
+//!   committed prefix of the log. A record whose checksum verifies was
+//!   committed, so one this build cannot decode or apply (an op tag an
+//!   older build wrote, say) refuses the open with [`DbError::Wal`]
+//!   instead of being dropped as a torn tail.
 //! * **Checkpoints** fold the log into a single full-image record via
 //!   an atomic whole-file [`DbFile::replace`], bounding both log growth
 //!   and reopen time. One is taken automatically every
@@ -37,13 +42,9 @@
 // failures must surface as typed errors.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::ast::{BinOp, Expr, Statement};
-use crate::catalog::{eval_insert_literal, Database};
+use crate::catalog::Database;
 use crate::codec::{self, Decoder};
 use crate::error::DbError;
-use crate::parser::parse_statement;
-use crate::prepare::Prepared;
-use crate::result::ResultSet;
 use crate::table::TableSchema;
 use crate::value::{ColumnType, Value};
 use parking_lot::Mutex;
@@ -343,10 +344,11 @@ impl DbFile for FaultFile {
 // Logged operations
 // ---------------------------------------------------------------------
 
-/// One logged mutation. Typed variants are validated *before* the
-/// record is appended, so their replay cannot fail; [`WalOp::Execute`]
-/// carries raw SQL whose runtime errors replay deterministically (the
-/// op stays logged, the error reproduces, later ops still apply).
+/// One logged mutation. A batch of them is validated *before* its
+/// record is appended and applied by [`Database::apply`], so a committed
+/// batch cannot fail part-way, at commit or at replay. They are logged
+/// under op tags 1, 3 and 4; a committed record holding any other op tag
+/// refuses the open (see [`DurableDatabase::open`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalOp {
     /// `CREATE TABLE`.
@@ -356,8 +358,6 @@ pub enum WalOp {
         /// Column definitions.
         columns: Vec<(String, ColumnType)>,
     },
-    /// `DROP TABLE`.
-    DropTable(String),
     /// Append full-width rows to a table.
     InsertRows {
         /// Target table.
@@ -374,93 +374,6 @@ pub enum WalOp {
         /// Filter value.
         value: Value,
     },
-    /// Delete all rows of a table.
-    DeleteAll(String),
-    /// Arbitrary non-SELECT SQL (the durable fallback path).
-    Execute(String),
-}
-
-impl WalOp {
-    /// Pre-commit validation against current state: typed ops must be
-    /// guaranteed to apply, so a bad batch is rejected *before* any
-    /// byte reaches the log.
-    fn validate(&self, db: &Database) -> Result<(), DbError> {
-        match self {
-            WalOp::CreateTable { name, .. } => {
-                if db.has_table(name) {
-                    return Err(DbError::DuplicateTable(name.clone()));
-                }
-                Ok(())
-            }
-            WalOp::DropTable(name) | WalOp::DeleteAll(name) => {
-                if !db.has_table(name) {
-                    return Err(DbError::UnknownTable(name.clone()));
-                }
-                Ok(())
-            }
-            WalOp::InsertRows { table, rows } => {
-                let schema = db
-                    .table_schema(table)
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                for row in rows {
-                    if row.len() != schema.columns.len() {
-                        return Err(DbError::ArityMismatch {
-                            expected: schema.columns.len(),
-                            found: row.len(),
-                        });
-                    }
-                    for (v, (col, ty)) in row.iter().zip(&schema.columns) {
-                        if !v.conforms_to(*ty) {
-                            return Err(DbError::TypeMismatch {
-                                table: table.clone(),
-                                column: col.clone(),
-                                value: v.to_string(),
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            }
-            WalOp::DeleteEq { table, column, .. } => {
-                let schema = db
-                    .table_schema(table)
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                if schema.column_index(column).is_none() {
-                    return Err(DbError::UnknownColumn(column.clone()));
-                }
-                Ok(())
-            }
-            WalOp::Execute(sql) => {
-                if matches!(parse_statement(sql)?, Statement::Select(_)) {
-                    return Err(DbError::Eval(
-                        "SELECT cannot be committed to the WAL".to_string(),
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Applies the op to the database.
-    fn apply(&self, db: &Database) -> Result<(), DbError> {
-        match self {
-            WalOp::CreateTable { name, columns } => {
-                db.create_table(name, columns.clone())
-            }
-            WalOp::DropTable(name) => db.drop_table(name),
-            WalOp::InsertRows { table, rows } => db.insert_rows(table, rows.clone()),
-            WalOp::DeleteEq { table, column, value } => {
-                db.delete_eq(table, column, value).map(|_| ())
-            }
-            WalOp::DeleteAll(table) => db
-                .execute_stmt(
-                    &Statement::Delete { table: table.clone(), predicate: None },
-                    &[],
-                )
-                .map(|_| ()),
-            WalOp::Execute(sql) => db.execute(sql).map(|_| ()),
-        }
-    }
 }
 
 fn encode_op(out: &mut Vec<u8>, op: &WalOp) {
@@ -474,10 +387,6 @@ fn encode_op(out: &mut Vec<u8>, op: &WalOp) {
                 codec::encode_column_type(out, *ty);
             }
         }
-        WalOp::DropTable(name) => {
-            out.push(2);
-            codec::encode_str(out, name);
-        }
         WalOp::InsertRows { table, rows } => {
             out.push(3);
             codec::encode_str(out, table);
@@ -488,14 +397,6 @@ fn encode_op(out: &mut Vec<u8>, op: &WalOp) {
             codec::encode_str(out, table);
             codec::encode_str(out, column);
             codec::encode_value(out, value);
-        }
-        WalOp::DeleteAll(table) => {
-            out.push(5);
-            codec::encode_str(out, table);
-        }
-        WalOp::Execute(sql) => {
-            out.push(6);
-            codec::encode_str(out, sql);
         }
     }
 }
@@ -519,7 +420,6 @@ fn decode_op(d: &mut Decoder<'_>) -> Result<WalOp, DbError> {
             }
             Ok(WalOp::CreateTable { name, columns })
         }
-        2 => Ok(WalOp::DropTable(d.str("table name")?)),
         3 => {
             let table = d.str("table name")?;
             let rows = d.rows()?;
@@ -530,9 +430,9 @@ fn decode_op(d: &mut Decoder<'_>) -> Result<WalOp, DbError> {
             column: d.str("column name")?,
             value: d.value()?,
         }),
-        5 => Ok(WalOp::DeleteAll(d.str("table name")?)),
-        6 => Ok(WalOp::Execute(d.str("sql text")?)),
-        _ => Err(DbError::Codec { offset: d.offset() - 1, expected: "op tag 1..=6" }),
+        _ => {
+            Err(DbError::Codec { offset: d.offset() - 1, expected: "op tag 1, 3 or 4" })
+        }
     }
 }
 
@@ -609,12 +509,9 @@ fn frame(payload: Vec<u8>) -> Vec<u8> {
 // The durable database
 // ---------------------------------------------------------------------
 
-/// Durability and compaction knobs.
+/// Compaction knob. Every commit is flushed before it is acknowledged.
 #[derive(Clone, Copy, Debug)]
 pub struct WalConfig {
-    /// Flush after every commit append (the durability guarantee; turn
-    /// off only for throwaway bulk loads).
-    pub sync_on_commit: bool,
     /// Take a checkpoint once this many commit-record bytes have been
     /// appended since the last one. `0` disables automatic checkpoints.
     pub checkpoint_every_bytes: u64,
@@ -622,7 +519,7 @@ pub struct WalConfig {
 
 impl Default for WalConfig {
     fn default() -> Self {
-        WalConfig { sync_on_commit: true, checkpoint_every_bytes: 4 * 1024 * 1024 }
+        WalConfig { checkpoint_every_bytes: 4 * 1024 * 1024 }
     }
 }
 
@@ -644,6 +541,8 @@ pub struct CommitReceipt {
     pub wal_bytes: u64,
     /// `true` when the commit tripped an automatic checkpoint.
     pub checkpointed: bool,
+    /// Rows the batch's [`WalOp::DeleteEq`] ops removed.
+    pub rows_removed: usize,
 }
 
 #[derive(Debug)]
@@ -662,9 +561,8 @@ struct WalInner {
 
 /// A [`Database`] whose mutations are write-ahead logged.
 ///
-/// All writes must go through [`commit`](Self::commit),
-/// [`execute`](Self::execute) or
-/// [`execute_prepared`](Self::execute_prepared); mutating the inner
+/// [`commit`](Self::commit) is the only write path: every write is a
+/// typed [`WalOp`] batch. Mutating the inner
 /// [`database`](Self::database) directly bypasses the log and will not
 /// survive a reopen.
 #[derive(Debug)]
@@ -678,6 +576,11 @@ impl DurableDatabase {
     /// Opens (or creates) a durable database over `file`, replaying any
     /// existing log to the last valid record. Torn or corrupt tails are
     /// truncated, never panicked on.
+    ///
+    /// # Errors
+    /// [`DbError::Wal`] for a file that is not a log, or for a record
+    /// whose checksum verifies but which this build cannot decode or
+    /// apply: it was committed, so truncating it would drop a write.
     pub fn open(
         file: Arc<dyn DbFile>,
         config: WalConfig,
@@ -699,24 +602,20 @@ impl DurableDatabase {
             }
             let mut pos = MAGIC.len();
             while let Some((payload, next)) = take_record(&bytes, pos) {
-                let Ok(record) = decode_record(payload) else {
-                    break;
+                // The checksum verified, so the record was committed: one
+                // this build cannot decode or apply refuses the open.
+                let refuse = |e: DbError| {
+                    DbError::Wal(format!(
+                        "committed record at byte {pos} cannot be replayed: {e}"
+                    ))
                 };
-                match record {
+                match decode_record(payload).map_err(refuse)? {
                     Record::Commit(ops) => {
-                        for op in &ops {
-                            // Replay reproduces commit-time behavior: an
-                            // op that failed at runtime fails again here,
-                            // and later ops still apply.
-                            let _ = op.apply(&db);
-                        }
+                        db.apply(&ops).map_err(refuse)?;
                         report.ops_applied += ops.len();
                     }
                     Record::Checkpoint(tables) => {
-                        let Ok(restored) = restore_image(tables) else {
-                            break;
-                        };
-                        db = restored;
+                        db = restore_image(tables).map_err(refuse)?;
                         report.ops_applied = 0;
                     }
                 }
@@ -771,10 +670,10 @@ impl DurableDatabase {
         self.inner.lock().bytes_logged
     }
 
-    /// Commits a batch crash-atomically: validate every op, append one
-    /// checksummed record, flush, then apply to memory. On append/sync
-    /// failure the log rolls back to its committed length and the error
-    /// is typed and retryable.
+    /// Commits a batch crash-atomically: validate the batch, append one
+    /// checksummed record, flush, then apply it to memory with
+    /// [`Database::apply`]. On append/sync failure the log rolls back to
+    /// its committed length and the error is typed and retryable.
     pub fn commit(&self, ops: &[WalOp]) -> Result<CommitReceipt, DbError> {
         if ops.is_empty() {
             return Ok(CommitReceipt::default());
@@ -783,9 +682,7 @@ impl DurableDatabase {
         if let Some(why) = &inner.poisoned {
             return Err(DbError::Wal(format!("log poisoned: {why}")));
         }
-        for op in ops {
-            op.validate(&self.db)?;
-        }
+        self.db.validate(ops)?;
         let mut payload = vec![TAG_COMMIT];
         codec::encode_u32(&mut payload, ops.len() as u32);
         for op in ops {
@@ -799,13 +696,7 @@ impl DurableDatabase {
         }
         let record = frame(payload);
         let committed_len = inner.committed_len;
-        let io = inner.file.append(&record).and_then(|()| {
-            if self.config.sync_on_commit {
-                inner.file.sync()
-            } else {
-                Ok(())
-            }
-        });
+        let io = inner.file.append(&record).and_then(|()| inner.file.sync());
         if let Err(e) = io {
             // Roll the file back so no torn record sits mid-log. If even
             // that fails, poison: later commits would land after garbage.
@@ -818,15 +709,10 @@ impl DurableDatabase {
         inner.bytes_logged += record.len() as u64;
         inner.bytes_since_checkpoint += record.len() as u64;
 
-        // The record is durable; apply to memory. Validation above means
-        // typed ops cannot fail here, and Execute errors replay
-        // identically, so the log and memory stay in sync either way.
-        let mut first_err = None;
-        for op in ops {
-            if let Err(e) = op.apply(&self.db) {
-                first_err.get_or_insert(e);
-            }
-        }
+        // The record is durable; apply it to memory. Only this commit path
+        // writes, under `inner`'s lock, so the batch validated above
+        // still validates.
+        let rows_removed = self.db.apply(ops)?;
         let mut checkpointed = false;
         if self.config.checkpoint_every_bytes > 0
             && inner.bytes_since_checkpoint >= self.config.checkpoint_every_bytes
@@ -835,10 +721,7 @@ impl DurableDatabase {
             // (intact) log in place and the next commit retries it.
             checkpointed = self.checkpoint_locked(&mut inner).is_ok();
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(CommitReceipt { wal_bytes: record.len() as u64, checkpointed }),
-        }
+        Ok(CommitReceipt { wal_bytes: record.len() as u64, checkpointed, rows_removed })
     }
 
     /// Folds the whole log into one checkpoint record via an atomic
@@ -875,134 +758,6 @@ impl DurableDatabase {
         inner.bytes_since_checkpoint = 0;
         inner.poisoned = None;
         Ok(())
-    }
-
-    /// Parses and runs one SQL statement. SELECTs read the in-memory
-    /// state directly; everything else is committed through the log
-    /// first, and the returned metrics carry the WAL bytes written.
-    pub fn execute(&self, sql: &str) -> Result<ResultSet, DbError> {
-        let stmt = parse_statement(sql)?;
-        if matches!(stmt, Statement::Select(_)) {
-            return self.db.execute_stmt(&stmt, &[]);
-        }
-        let receipt = self.commit(&[WalOp::Execute(sql.to_string())])?;
-        let mut rs = ResultSet::empty();
-        rs.metrics.wal_bytes_written = receipt.wal_bytes;
-        Ok(rs)
-    }
-
-    /// Executes a prepared statement durably. SELECTs bypass the log;
-    /// INSERT/DELETE/DDL lower to typed [`WalOp`]s and commit.
-    pub fn execute_prepared(
-        &self,
-        stmt: &Prepared,
-        params: &[Value],
-    ) -> Result<ResultSet, DbError> {
-        if stmt.is_select() {
-            return self.db.execute_prepared(stmt, params);
-        }
-        if params.len() != stmt.param_count() {
-            return Err(DbError::ParamMismatch {
-                expected: stmt.param_count(),
-                found: params.len(),
-            });
-        }
-        let ops = self.lower(stmt, params)?;
-        let receipt = self.commit(&ops)?;
-        let mut rs = ResultSet::empty();
-        rs.metrics.wal_bytes_written = receipt.wal_bytes;
-        Ok(rs)
-    }
-
-    /// Lowers a non-SELECT statement to typed WAL ops.
-    fn lower(&self, stmt: &Prepared, params: &[Value]) -> Result<Vec<WalOp>, DbError> {
-        match stmt.statement() {
-            // A SELECT reaching the write-path lowering is a caller
-            // bug, but recovery code never panics over it — it surfaces
-            // as a typed evaluation error instead.
-            Statement::Select(_) => {
-                Err(DbError::Eval("SELECT cannot be lowered to WAL ops".to_string()))
-            }
-            Statement::CreateTable { name, columns } => Ok(vec![WalOp::CreateTable {
-                name: name.clone(),
-                columns: columns.clone(),
-            }]),
-            Statement::DropTable(name) => Ok(vec![WalOp::DropTable(name.clone())]),
-            Statement::Insert { table, columns, rows } => {
-                let schema = self
-                    .db
-                    .table_schema(table)
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                let mut full = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut vals = Vec::with_capacity(row.len());
-                    for e in row {
-                        vals.push(eval_insert_literal(e, params)?);
-                    }
-                    full.push(match columns {
-                        None => vals,
-                        // Expand a partial insert to full width (NULLs
-                        // elsewhere), mirroring `insert_partial`.
-                        Some(cols) => {
-                            if cols.len() != vals.len() {
-                                return Err(DbError::ArityMismatch {
-                                    expected: cols.len(),
-                                    found: vals.len(),
-                                });
-                            }
-                            let mut wide = vec![Value::Null; schema.columns.len()];
-                            for (col, v) in cols.iter().zip(vals) {
-                                let i = schema.column_index(col).ok_or_else(|| {
-                                    DbError::UnknownColumn(col.clone())
-                                })?;
-                                wide[i] = v;
-                            }
-                            wide
-                        }
-                    });
-                }
-                Ok(vec![WalOp::InsertRows { table: table.clone(), rows: full }])
-            }
-            Statement::Delete { table, predicate } => match predicate {
-                None => Ok(vec![WalOp::DeleteAll(table.clone())]),
-                Some(Expr::Binary { lhs, op: BinOp::Eq, rhs }) => {
-                    if let Expr::Column { qualifier: None, name } = lhs.as_ref() {
-                        let value = match rhs.as_ref() {
-                            Expr::Param(i) => params[*i].clone(),
-                            Expr::Literal(v) => v.clone(),
-                            _ => {
-                                return self.lower_delete_fallback(stmt, params, table)
-                            }
-                        };
-                        return Ok(vec![WalOp::DeleteEq {
-                            table: table.clone(),
-                            column: name.clone(),
-                            value,
-                        }]);
-                    }
-                    self.lower_delete_fallback(stmt, params, table)
-                }
-                Some(_) => self.lower_delete_fallback(stmt, params, table),
-            },
-        }
-    }
-
-    /// A DELETE whose predicate is not a plain equality: without
-    /// parameters the raw SQL is logged; with parameters there is no
-    /// faithful SQL rendering, so it is rejected typed.
-    fn lower_delete_fallback(
-        &self,
-        stmt: &Prepared,
-        params: &[Value],
-        table: &str,
-    ) -> Result<Vec<WalOp>, DbError> {
-        if params.is_empty() {
-            return Ok(vec![WalOp::Execute(stmt.text().to_string())]);
-        }
-        Err(DbError::Eval(format!(
-            "parameterized DELETE on {table:?} must use a plain `column = ?` predicate \
-             on the durable path"
-        )))
     }
 }
 
@@ -1186,7 +941,7 @@ mod tests {
     #[test]
     fn automatic_checkpoint_triggers_on_byte_threshold() {
         let file = mem();
-        let config = WalConfig { sync_on_commit: true, checkpoint_every_bytes: 256 };
+        let config = WalConfig { checkpoint_every_bytes: 256 };
         let (wal, _) = DurableDatabase::open(file, config).unwrap();
         seed(&wal);
         let mut saw_checkpoint = false;
@@ -1233,25 +988,5 @@ mod tests {
         file.append(b"definitely not a log").unwrap();
         let err = DurableDatabase::open(file, WalConfig::default()).unwrap_err();
         assert!(matches!(err, DbError::Wal(_)), "{err:?}");
-    }
-
-    #[test]
-    fn durable_execute_and_prepared_roundtrip() {
-        let file = mem();
-        let (wal, _) =
-            DurableDatabase::open(file.clone(), WalConfig::default()).unwrap();
-        wal.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
-        let ins = wal.database().prepare("INSERT INTO t VALUES (?, ?)").unwrap();
-        let rs =
-            wal.execute_prepared(&ins, &[Value::Int(1), Value::from("one")]).unwrap();
-        assert!(rs.metrics.wal_bytes_written > 0);
-        wal.execute_prepared(&ins, &[Value::Int(2), Value::from("two")]).unwrap();
-        let del = wal.database().prepare("DELETE FROM t WHERE a = ?").unwrap();
-        wal.execute_prepared(&del, &[Value::Int(1)]).unwrap();
-        drop(wal);
-        let (wal, _) = DurableDatabase::open(file, WalConfig::default()).unwrap();
-        let rs = wal.execute("SELECT a, b FROM t").unwrap();
-        assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][0], Value::Int(2));
     }
 }

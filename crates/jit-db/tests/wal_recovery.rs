@@ -143,7 +143,7 @@ fn failed_sync_then_retry_is_exactly_once() {
 #[test]
 fn checkpoint_compacts_and_preserves_bit_exact_floats() {
     let file = Arc::new(MemFile::new());
-    let config = WalConfig { sync_on_commit: true, checkpoint_every_bytes: 0 };
+    let config = WalConfig { checkpoint_every_bytes: 0 };
     let (wal, _) = DurableDatabase::open(file.clone(), config).unwrap();
     wal.commit(&[create_t()]).unwrap();
     let nan = f64::from_bits(0x7ff8_dead_beef_0001);
@@ -165,7 +165,7 @@ fn checkpoint_compacts_and_preserves_bit_exact_floats() {
 #[test]
 fn commits_after_checkpoint_replay_on_top_of_the_image() {
     let file = Arc::new(MemFile::new());
-    let config = WalConfig { sync_on_commit: true, checkpoint_every_bytes: 0 };
+    let config = WalConfig { checkpoint_every_bytes: 0 };
     let (wal, _) = DurableDatabase::open(file.clone(), config).unwrap();
     wal.commit(&[create_t()]).unwrap();
     wal.commit(&[insert(1, 1.0, "pre")]).unwrap();
@@ -178,6 +178,54 @@ fn commits_after_checkpoint_replay_on_top_of_the_image() {
     assert_eq!(rows_of(wal.database()), state);
 }
 
+/// A record whose checksum verifies was committed, so one this build
+/// cannot decode must refuse the open: truncating it as a torn tail
+/// would silently drop a committed write. The record here is the tag-6
+/// SQL-text op an older build could log. The same bytes torn or with a
+/// bit flipped fail the checksum and are still truncated.
+#[test]
+fn a_valid_record_this_build_cannot_decode_refuses_the_open() {
+    let file = Arc::new(MemFile::new());
+    let (wal, _) = DurableDatabase::open(file.clone(), WalConfig::default()).unwrap();
+    wal.commit(&[create_t()]).unwrap();
+    drop(wal);
+    let committed = file.snapshot();
+    // [commit tag 1][op count 1][op tag 6][sql text], framed as
+    // [u32 payload length][u64 checksum][payload].
+    let mut payload = vec![1];
+    jit_db::codec::encode_u32(&mut payload, 1);
+    payload.push(6);
+    jit_db::codec::encode_str(&mut payload, "INSERT INTO t VALUES (1, 0.5, 'sql')");
+    let mut record = Vec::new();
+    jit_db::codec::encode_u32(&mut record, payload.len() as u32);
+    jit_db::codec::encode_u64(&mut record, jit_db::codec::checksum64(&payload));
+    record.extend_from_slice(&payload);
+
+    let with = |record: &[u8]| {
+        let file = Arc::new(MemFile::new());
+        file.append(&committed).unwrap();
+        file.append(record).unwrap();
+        file
+    };
+    let file = with(&record);
+    let err = DurableDatabase::open(file.clone(), WalConfig::default()).unwrap_err();
+    assert!(matches!(err, DbError::Wal(_)), "{err:?}");
+    assert_eq!(file.len().unwrap(), (committed.len() + record.len()) as u64, "kept");
+
+    let mut flipped = record.clone();
+    if let Some(last) = flipped.last_mut() {
+        *last ^= 0x01;
+    }
+    for damaged in [&record[..record.len() - 1], &flipped[..]] {
+        let file = with(damaged);
+        let (wal, report) = DurableDatabase::open(file.clone(), WalConfig::default())
+            .expect("a torn or flipped record is a torn tail");
+        assert_eq!(report.truncated_bytes, damaged.len() as u64);
+        assert_eq!(file.len().unwrap(), committed.len() as u64);
+        assert_eq!(wal.database().row_count("t").unwrap(), 0);
+    }
+}
+
 /// A deterministic mixed batch for the property test.
 fn arbitrary_ops(rng: &mut TestRng, round: i64) -> Vec<WalOp> {
     match rng.i128_in(0, 4) {
@@ -188,9 +236,14 @@ fn arbitrary_ops(rng: &mut TestRng, round: i64) -> Vec<WalOp> {
             column: "k".to_string(),
             value: Value::Int(rng.i128_in(0, round.max(1) as i128) as i64),
         }],
-        _ => {
-            vec![WalOp::Execute(format!("INSERT INTO t VALUES ({round}, 0.25, 'sql')"))]
-        }
+        _ => vec![
+            WalOp::DeleteEq {
+                table: "t".to_string(),
+                column: "s".to_string(),
+                value: Value::Text("p".to_string()),
+            },
+            insert(round, 0.25, "sql"),
+        ],
     }
 }
 

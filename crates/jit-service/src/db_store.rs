@@ -14,19 +14,25 @@
 //! byte, but stored bytes outlive the build that wrote them, so a blob
 //! whose version this build does not read is [`StoreError::Corrupt`]
 //! rather than a wrong decode. A blob recorded under a different feature
-//! schema is [`StoreError::SchemaMismatch`]. A save is one row replace;
-//! a load is one prepared `SELECT … WHERE user_id = ?` and one decode.
+//! schema is [`StoreError::SchemaMismatch`]. A load is one prepared
+//! `SELECT … WHERE user_id = ?` and one decode.
 //!
-//! Two durability tiers share the code path:
+//! A save is one typed batch, `[DeleteEq user_id, InsertRows row]`, and
+//! a remove the batch's first op alone. On both durability tiers the
+//! batch is applied by [`Database::apply`] under one table write lock,
+//! so a concurrent load finds the old row or the new one, never neither,
+//! and `remove` learns whether it removed a row from the batch itself.
+//! The delete goes through the `user_id` hash index, so a save's cost
+//! does not grow with the store.
 //!
 //! * [`DbSnapshotStore::open`] — the backing [`Database`] is the
 //!   medium; keep its `Arc` alive across a restart.
 //! * [`DbSnapshotStore::open_durable`] — a
 //!   [`DurableDatabase`] is the medium; every
-//!   save commits one write-ahead-log record, so snapshots survive a
-//!   process **kill**, not just a drop. A save is crash-atomic: after
-//!   recovery the store holds either the old snapshot or the new one,
-//!   never a torn mix.
+//!   save commits its batch as one write-ahead-log record, so snapshots
+//!   survive a process **kill**, not just a drop. A save is
+//!   crash-atomic: after recovery the store holds either the old
+//!   snapshot or the new one, never a torn mix.
 
 // Decode path: these blobs come back from disk, so panics are denied
 // outright here (tests excepted) — damaged bytes must surface as typed
@@ -65,10 +71,6 @@ pub struct DbSnapshotStore {
     load: Prepared,
     /// `SELECT user_id … ORDER BY user_id`, compiled once at open.
     user_ids: Prepared,
-    /// A save deletes the old row, then inserts the new one, each under
-    /// its own table lock; holding this across both keeps a concurrent
-    /// read from finding the user absent in between.
-    op_lock: parking_lot::Mutex<()>,
 }
 
 impl DbSnapshotStore {
@@ -134,7 +136,6 @@ impl DbSnapshotStore {
             wal,
             schema: schema.clone(),
             schema_digest: schema.content_digest(),
-            op_lock: parking_lot::Mutex::new(()),
         })
     }
 
@@ -155,37 +156,26 @@ impl DbSnapshotStore {
         Ok(rs.rows.into_iter().next())
     }
 
-    /// Replaces `user_id`'s row with `row` (`None` deletes it): one
-    /// crash-atomic WAL commit when durable, two direct mutations
-    /// otherwise. The ops are typed, so a failed apply leaves no
-    /// half-written row behind.
+    /// Replaces `user_id`'s row with `row` (`None` deletes it) in one
+    /// batch, committed through the log when durable, and returns how
+    /// many rows the batch removed.
     fn replace(
         &self,
         user_id: &str,
         row: Option<Vec<Value>>,
-    ) -> Result<(), StoreError> {
-        let id = Value::from(user_id);
-        match &self.wal {
-            Some(wal) => {
-                let mut ops = vec![WalOp::DeleteEq {
-                    table: TABLE.into(),
-                    column: "user_id".into(),
-                    value: id,
-                }];
-                ops.extend(row.map(|row| WalOp::InsertRows {
-                    table: TABLE.into(),
-                    rows: vec![row],
-                }));
-                wal.commit(&ops)?;
-            }
-            None => {
-                self.db.delete_eq(TABLE, "user_id", &id)?;
-                if let Some(row) = row {
-                    self.db.insert_row(TABLE, row)?;
-                }
-            }
-        }
-        Ok(())
+    ) -> Result<usize, StoreError> {
+        let mut ops = vec![WalOp::DeleteEq {
+            table: TABLE.into(),
+            column: "user_id".into(),
+            value: Value::from(user_id),
+        }];
+        ops.extend(
+            row.map(|row| WalOp::InsertRows { table: TABLE.into(), rows: vec![row] }),
+        );
+        Ok(match &self.wal {
+            Some(wal) => wal.commit(&ops)?.rows_removed,
+            None => self.db.apply(&ops)?,
+        })
     }
 
     /// Decodes a stored blob: version byte, schema digest, snapshot.
@@ -246,16 +236,12 @@ impl SnapshotStore for DbSnapshotStore {
         let mut blob = vec![FORMAT_VERSION];
         wire::encode_digest(&mut blob, self.schema_digest);
         wire::encode_snapshot(&mut blob, snapshot);
-        let _guard = self.op_lock.lock();
         self.replace(user_id, Some(vec![Value::from(user_id), Value::Blob(blob)]))
+            .map(|_| ())
     }
 
     fn load(&self, user_id: &str) -> Result<Option<SessionSnapshot>, StoreError> {
-        let row = {
-            let _guard = self.op_lock.lock();
-            self.row(user_id)?
-        };
-        match row.as_deref() {
+        match self.row(user_id)?.as_deref() {
             None => Ok(None),
             Some([Value::Blob(blob)]) => self.decode(user_id, blob).map(Some),
             Some(_) => Err(StoreError::Corrupt {
@@ -266,19 +252,16 @@ impl SnapshotStore for DbSnapshotStore {
     }
 
     fn remove(&self, user_id: &str) -> Result<bool, StoreError> {
-        let _guard = self.op_lock.lock();
-        let existed = self.row(user_id)?.is_some();
-        if existed {
-            self.replace(user_id, None)?;
+        // An absent id logs nothing. Of concurrent removes that all saw
+        // the row, the batch's own count picks the one that removed it.
+        if self.row(user_id)?.is_none() {
+            return Ok(false);
         }
-        Ok(existed)
+        Ok(self.replace(user_id, None)? > 0)
     }
 
     fn user_ids(&self) -> Result<Vec<String>, StoreError> {
-        let rs = {
-            let _guard = self.op_lock.lock();
-            self.db.execute_prepared(&self.user_ids, &[])?
-        };
+        let rs = self.db.execute_prepared(&self.user_ids, &[])?;
         rs.rows
             .into_iter()
             .map(|row| match row.as_slice() {
@@ -346,6 +329,50 @@ mod tests {
             (1, 1196, Digest([0x3439_ebb5_4327_5906, 0x54bf_54b6_7029_0f9d])),
             "the stored snapshot bytes changed: bump FORMAT_VERSION, then \
              update the expected length and digest here"
+        );
+    }
+
+    /// A store's write-ahead log outlives the build that wrote it too, so
+    /// the bytes a durable store logs may change only together with the
+    /// WAL's magic. A create, two saves, an overwrite and a remove pin the
+    /// framing and every op a store logs.
+    #[test]
+    fn logged_bytes_change_only_with_the_wal_magic() {
+        let schema = FeatureSchema::lending_club();
+        let snapshot = |request: UserRequest, candidates: Vec<Candidate>| {
+            SessionSnapshot::from_parts(
+                request,
+                vec![LendingClubGenerator::john(); 3],
+                candidates,
+                vec![Some(Digest([3, 5])), None, Some(Digest([u64::MAX, 0]))],
+            )
+            .unwrap()
+        };
+        let candidate = Candidate {
+            time_index: 1,
+            profile: vec![-0.0; schema.dim()],
+            diff: 0.1 + 0.2,
+            gap: 1,
+            confidence: f64::from_bits(0x7ff8_0000_dead_beef),
+        };
+        let full = snapshot(every_kind_request(&schema), vec![candidate]);
+        let plain = snapshot(UserRequest::new(LendingClubGenerator::john()), vec![]);
+        let file = Arc::new(jit_db::MemFile::new());
+        let (wal, _) =
+            DurableDatabase::open(file.clone(), jit_db::WalConfig::default()).unwrap();
+        let store = DbSnapshotStore::open_durable(Arc::new(wal), &schema).unwrap();
+        store.save("a", &full).unwrap();
+        store.save("b", &plain).unwrap();
+        store.save("a", &plain).unwrap();
+        assert!(store.remove("b").unwrap());
+        let bytes = file.snapshot();
+        let mut digest = DigestWriter::new("jit-service/db_store/logged-bytes");
+        digest.write_bytes(&bytes);
+        assert_eq!(
+            (bytes.len(), digest.finish()),
+            (1896, Digest([0xb9b1_f18b_8a80_47e2, 0x6e8a_8c46_0816_41ea])),
+            "the logged bytes changed: bump the WAL magic, then update the \
+             expected length and digest here"
         );
     }
 }

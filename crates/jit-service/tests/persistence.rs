@@ -21,7 +21,7 @@ use jit_data::{FeatureSchema, LendingClubGenerator, LendingClubParams};
 use jit_ml::{Dataset, RandomForestParams};
 use jit_service::{DbSnapshotStore, MemorySnapshotStore, SnapshotStore};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -221,6 +221,124 @@ proptest! {
             prop_assert_eq!(a.time_index, b.time_index);
             prop_assert_eq!(a.diff.to_bits(), b.diff.to_bits());
             prop_assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+        }
+    }
+}
+
+/// A small schema-shaped snapshot; `v` makes each one distinct.
+fn small_snapshot(v: f64) -> jit_core::SessionSnapshot {
+    let dim = schema().dim();
+    jit_core::SessionSnapshot::from_parts(
+        UserRequest::new(vec![v; dim]),
+        vec![vec![v; dim]; 3],
+        vec![],
+        vec![Some(jit_math::Digest([v.to_bits(), 1])), None, None],
+    )
+    .unwrap()
+}
+
+/// A loaded snapshot as canonical wire bytes, for exact comparison.
+fn snapshot_bytes(snapshot: Option<jit_core::SessionSnapshot>) -> Option<Vec<u8>> {
+    snapshot.map(|snapshot| {
+        jit_service::wire::response_bytes(&jit_service::WireResponse {
+            users: vec![jit_service::wire::WireServedUser {
+                user_id: String::new(),
+                snapshot,
+                provenance: None,
+            }],
+            report: Default::default(),
+        })
+    })
+}
+
+/// A durable store over `file`, replaying whatever the file holds.
+fn durable_store(file: &Arc<jit_db::FaultFile>) -> DbSnapshotStore {
+    let file = Arc::clone(file) as Arc<dyn jit_db::DbFile>;
+    let (wal, _) =
+        jit_db::DurableDatabase::open(file, jit_db::WalConfig::default()).unwrap();
+    DbSnapshotStore::open_durable(Arc::new(wal), schema()).unwrap()
+}
+
+/// Model-based check of both `DbSnapshotStore` tiers against
+/// `MemorySnapshotStore`: seeded histories of saves, overwrites,
+/// removes, reopens of the durable store from its log and saves whose
+/// log sync fails. After every step, every load, the id listing and
+/// every remove result match the model.
+#[test]
+fn db_stores_match_the_memory_model_over_seeded_histories() {
+    let ids = ["a", "b", "c", "d"];
+    for seed in 0..8 {
+        let mut rng = proptest::test_runner::TestRng::seeded(seed);
+        let mut pick = |n: usize| rng.i128_in(0, n as i128) as usize;
+        let model = MemorySnapshotStore::new();
+        let direct = DbSnapshotStore::in_new_database(schema()).unwrap();
+        let file = Arc::new(jit_db::FaultFile::new(Arc::new(jit_db::MemFile::new())));
+        let mut durable = durable_store(&file);
+        for step in 0..80 {
+            let id = ids[pick(ids.len())];
+            let snapshot = small_snapshot((seed * 1000 + step) as f64);
+            let at = format!("seed {seed}, step {step}, id {id}");
+            match pick(8) {
+                0..=3 => {
+                    for store in [&model as &dyn SnapshotStore, &direct, &durable] {
+                        store.save(id, &snapshot).unwrap();
+                    }
+                }
+                4 | 5 => {
+                    let expected = model.remove(id).unwrap();
+                    assert_eq!(direct.remove(id).unwrap(), expected, "{at}");
+                    assert_eq!(durable.remove(id).unwrap(), expected, "{at}");
+                }
+                6 => {
+                    file.fail_nth_sync(1);
+                    let err = durable.save(id, &snapshot).unwrap_err();
+                    assert!(
+                        matches!(
+                            err,
+                            jit_service::StoreError::Db(jit_db::DbError::Io { .. })
+                        ),
+                        "{at}: {err:?}"
+                    );
+                }
+                _ => durable = durable_store(&file),
+            }
+            let listed = model.user_ids().unwrap();
+            assert_eq!(direct.user_ids().unwrap(), listed, "{at}");
+            assert_eq!(durable.user_ids().unwrap(), listed, "{at}");
+            for id in ids {
+                let expected = snapshot_bytes(model.load(id).unwrap());
+                assert_eq!(snapshot_bytes(direct.load(id).unwrap()), expected, "{at}");
+                assert_eq!(snapshot_bytes(durable.load(id).unwrap()), expected, "{at}");
+            }
+        }
+    }
+}
+
+/// Of N threads removing one stored id at once, exactly one learns it
+/// removed a snapshot, on both tiers.
+#[test]
+fn concurrent_removes_of_one_id_report_exactly_one_removal() {
+    let file = Arc::new(jit_db::FaultFile::new(Arc::new(jit_db::MemFile::new())));
+    let stores =
+        [DbSnapshotStore::in_new_database(schema()).unwrap(), durable_store(&file)];
+    let threads = 4;
+    for store in &stores {
+        for round in 0..200 {
+            store.save("u", &small_snapshot(round as f64)).unwrap();
+            let barrier = std::sync::Barrier::new(threads);
+            let removed = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            store.remove("u").unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).filter(|&r| r).count()
+            });
+            assert_eq!(removed, 1, "round {round}");
+            assert!(store.load("u").unwrap().is_none(), "round {round}");
         }
     }
 }

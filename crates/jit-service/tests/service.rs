@@ -339,8 +339,18 @@ fn stored_blob(db: &jit_db::Database, id: &str) -> Vec<u8> {
 /// Overwrites `id`'s stored blob in place, bypassing the store.
 fn overwrite_blob(db: &jit_db::Database, id: &str, blob: Vec<u8>) {
     let id = jit_db::Value::from(id);
-    db.delete_eq("jit_snapshots", "user_id", &id).unwrap();
-    db.insert_row("jit_snapshots", vec![id, jit_db::Value::Blob(blob)]).unwrap();
+    db.apply(&[
+        jit_db::WalOp::DeleteEq {
+            table: "jit_snapshots".into(),
+            column: "user_id".into(),
+            value: id.clone(),
+        },
+        jit_db::WalOp::InsertRows {
+            table: "jit_snapshots".into(),
+            rows: vec![vec![id, jit_db::Value::Blob(blob)]],
+        },
+    ])
+    .unwrap();
 }
 
 #[test]
@@ -396,7 +406,16 @@ fn db_store_reports_corrupt_rows_as_typed_errors() {
         jit_db::WalConfig::default(),
     )
     .unwrap();
-    wal.execute(OLD_LAYOUT).unwrap();
+    wal.commit(&[jit_db::WalOp::CreateTable {
+        name: "jit_snapshots".into(),
+        columns: vec![
+            ("user_id".into(), jit_db::ColumnType::Text),
+            ("schema_digest".into(), jit_db::ColumnType::Text),
+            ("horizon".into(), jit_db::ColumnType::Integer),
+            ("update_fn".into(), jit_db::ColumnType::Text),
+        ],
+    }])
+    .unwrap();
     let err = DbSnapshotStore::open_durable(Arc::new(wal), schema).unwrap_err();
     assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
 }
