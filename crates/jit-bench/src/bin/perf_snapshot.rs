@@ -266,8 +266,19 @@ fn scan_number_field(obj: &str, field: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
+/// The `"threads_available"` count a snapshot-shaped file records (top
+/// level, or under `"machine"` in committed baselines), if any.
+fn parse_baseline_threads(text: &str) -> Option<usize> {
+    let at = text.find("\"threads_available\"")?;
+    let (_, value) = text[at..].split_once(':')?;
+    let value = value.trim_start();
+    let end = value.find(|c: char| !c.is_ascii_digit()).unwrap_or(value.len());
+    value[..end].parse().ok()
+}
+
 /// Compares fresh entries against a baseline file; returns the number of
-/// gate failures and prints the gate report to stderr.
+/// gate failures and prints the gate report to stderr. A baseline taken
+/// on a different core count draws a warning, never a failure.
 fn check_regressions(
     entries: &[(String, f64, f64)],
     baseline_path: &str,
@@ -290,6 +301,13 @@ fn check_regressions(
         "perf gate: baseline {baseline_path}, tolerance {tolerance}x, \
          floor {floor_ms} ms"
     );
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    if let Some(base) = parse_baseline_threads(&text).filter(|&base| base != threads) {
+        eprintln!(
+            "perf gate: WARNING: the baseline was taken with {base} threads \
+             available, this runner has {threads}; timings may not compare"
+        );
+    }
     gate(entries, &baseline, tolerance, floor_ms)
 }
 
@@ -806,7 +824,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::gate;
+    use super::{gate, parse_baseline_threads};
 
     fn entry(name: &str, min: f64) -> (String, f64, f64) {
         (name.to_string(), min, min)
@@ -832,5 +850,17 @@ mod tests {
         assert_eq!(gate(&dropped, &baseline, 1.25, 1.0), 2);
         // Nothing comparable is a failure, not a pass.
         assert_eq!(gate(&[entry("b/z", 1.0)], &baseline, 1.25, 1.0), 1);
+    }
+
+    #[test]
+    fn baseline_thread_counts_parse_at_top_level_or_under_machine() {
+        let top =
+            "{\n  \"reps\": 3,\n  \"threads_available\": 16,\n  \"timings_ms\": {}";
+        assert_eq!(parse_baseline_threads(top), Some(16));
+        let nested = "{ \"machine\": { \"note\": \"x\", \"threads_available\": 2, \
+                      \"profile\": \"release\" }, \"timings_ms\": {} }";
+        assert_eq!(parse_baseline_threads(nested), Some(2));
+        assert_eq!(parse_baseline_threads("{ \"timings_ms\": {} }"), None);
+        assert_eq!(parse_baseline_threads("{ \"threads_available\": \"two\" }"), None);
     }
 }

@@ -274,9 +274,6 @@ pub enum Expr {
     },
     /// A scalar subquery `(SELECT …)` used as a value.
     ScalarSubquery(Box<Select>),
-    /// A positional `?` parameter (0-based, in source order), bound at
-    /// execution time by [`crate::Database::execute_prepared`].
-    Param(usize),
 }
 
 impl Expr {
@@ -291,7 +288,7 @@ impl Expr {
     pub fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Aggregate { .. } => true,
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) => false,
+            Expr::Literal(_) | Expr::Column { .. } => false,
             Expr::Binary { lhs, rhs, .. } => {
                 lhs.contains_aggregate() || rhs.contains_aggregate()
             }

@@ -8,7 +8,6 @@ use crate::ast::Statement;
 use crate::error::DbError;
 use crate::exec::Executor;
 use crate::parser::parse_statement;
-use crate::prepare::{FilterRhs, Prepared, SimplePlan};
 use crate::result::{ExecutionMetrics, ResultSet};
 use crate::table::{Table, TableSchema};
 use crate::value::{ColumnType, Value};
@@ -164,10 +163,11 @@ impl Database {
     }
 
     /// Declares a hash secondary index on `table.column` (TEXT columns
-    /// only), indexing existing rows immediately. Idempotent. Equality
-    /// filters on the column in prepared single-table SELECTs then probe
-    /// the index instead of scanning — result-identical, just fewer rows
-    /// touched (visible in [`ExecutionMetrics::rows_scanned`]).
+    /// only), indexing existing rows immediately. Idempotent. A
+    /// [`select`](Self::select) filtered on the column and a
+    /// [`WalOp::DeleteEq`] on it then probe the index instead of
+    /// scanning — same rows, fewer touched (visible in
+    /// [`ExecutionMetrics::rows_scanned`]).
     pub fn create_index(&self, table: &str, column: &str) -> Result<(), DbError> {
         let mut tables = self.tables.write();
         let t = tables
@@ -195,148 +195,89 @@ impl Database {
         out
     }
 
-    /// Compiles SQL into a reusable [`Prepared`] statement. `?`
-    /// placeholders become positional parameters; single-table SELECTs
-    /// of plain columns additionally get a direct scan plan that skips
-    /// the expression machinery at execution time.
-    pub fn prepare(&self, sql: &str) -> Result<Prepared, DbError> {
-        Prepared::compile(sql)
-    }
-
-    /// Executes a prepared statement with bound parameter values.
-    pub fn execute_prepared(
+    /// Reads `columns` of `table`'s rows, in ascending row position,
+    /// keeping only the rows whose `filter` column SQL-equals the filter
+    /// value when one is given. A filter on a hash-indexed column probes
+    /// the index and touches only the matching rows; any other filter
+    /// scans, so both return the same rows. The result's
+    /// [`ExecutionMetrics`] count the rows touched and the encoded bytes
+    /// of the rows kept.
+    pub fn select(
         &self,
-        stmt: &Prepared,
-        params: &[Value],
-    ) -> Result<ResultSet, DbError> {
-        if params.len() != stmt.param_count() {
-            return Err(DbError::ParamMismatch {
-                expected: stmt.param_count(),
-                found: params.len(),
-            });
-        }
-        if let Some(plan) = stmt.plan() {
-            return self.execute_simple(plan, params);
-        }
-        self.execute_stmt(stmt.statement(), params)
-    }
-
-    /// Parses and executes one SQL statement.
-    pub fn execute(&self, sql: &str) -> Result<ResultSet, DbError> {
-        let stmt = parse_statement(sql)?;
-        self.execute_stmt(&stmt, &[])
-    }
-
-    /// Direct scan/filter/sort path for [`SimplePlan`] queries; must be
-    /// result-identical to the general executor (same `total_cmp` order,
-    /// same stable sort), just without per-row frame evaluation.
-    fn execute_simple(
-        &self,
-        plan: &SimplePlan,
-        params: &[Value],
+        table: &str,
+        columns: &[&str],
+        filter: Option<(&str, &Value)>,
     ) -> Result<ResultSet, DbError> {
         let tables = self.tables.read();
         let t = tables
-            .get(&plan.table.to_ascii_lowercase())
-            .ok_or_else(|| DbError::UnknownTable(plan.table.clone()))?;
-        let resolve = |name: &String| {
+            .get(&table.to_ascii_lowercase())
+            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
+        let resolve = |name: &str| {
             t.schema
                 .column_index(name)
-                .ok_or_else(|| DbError::UnknownColumn(name.clone()))
+                .ok_or_else(|| DbError::UnknownColumn(name.to_string()))
         };
-        let proj: Vec<usize> =
-            plan.projections.iter().map(resolve).collect::<Result<_, _>>()?;
-        let order: Vec<usize> =
-            plan.order_by.iter().map(resolve).collect::<Result<_, _>>()?;
-        let filter: Option<(usize, &Value)> = match &plan.filter {
+        let projection: Vec<usize> =
+            columns.iter().map(|c| resolve(c)).collect::<Result<_, _>>()?;
+        let filter = match filter {
+            Some((column, value)) => Some((resolve(column)?, value)),
             None => None,
-            Some((col, rhs)) => {
-                let v = match rhs {
-                    FilterRhs::Param(i) => &params[*i],
-                    FilterRhs::Literal(v) => v,
-                };
-                Some((resolve(col)?, v))
-            }
         };
 
-        let mut output: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-        let mut bytes_scanned = 0u64;
-        let mut consider = |row: &Vec<Value>| {
-            if let Some((ci, v)) = filter {
-                if !row[ci].sql_eq(v) {
-                    return;
-                }
+        let mut rows = Vec::new();
+        let mut bytes_scanned = 0;
+        let mut consider = |row: &[Value]| {
+            if filter.is_some_and(|(ci, v)| !row[ci].sql_eq(v)) {
+                return;
             }
             bytes_scanned += row.iter().map(crate::codec::encoded_len).sum::<u64>();
-            let projected: Vec<Value> = proj.iter().map(|&i| row[i].clone()).collect();
-            let keys: Vec<Value> = order.iter().map(|&i| row[i].clone()).collect();
-            output.push((projected, keys));
+            rows.push(projection.iter().map(|&i| row[i].clone()).collect::<Vec<_>>());
         };
-        // An indexed equality filter probes the hash index and touches
-        // only the matching positions (ascending, so output order —
-        // hence results — match a full scan exactly).
-        let indexed = filter.and_then(|(ci, v)| t.index_probe(ci, v));
-        let rows_scanned = match indexed {
+        let rows_scanned = match filter.and_then(|(ci, v)| t.index_probe(ci, v)) {
             Some(positions) => {
                 for &position in positions {
                     consider(&t.rows[position]);
                 }
-                positions.len() as u64
+                positions.len()
             }
             None => {
                 for row in &t.rows {
                     consider(row);
                 }
-                t.rows.len() as u64
+                t.rows.len()
             }
         };
-        let mut metrics =
-            ExecutionMetrics { rows_scanned, bytes_scanned, ..Default::default() };
-        if !order.is_empty() {
-            output.sort_by(|(_, ka), (_, kb)| {
-                for (a, b) in ka.iter().zip(kb) {
-                    let ord = a.total_cmp(b);
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(limit) = plan.limit {
-            output.truncate(limit);
-        }
-        let rows: Vec<Vec<Value>> = output.into_iter().map(|(p, _)| p).collect();
-        metrics.rows_output = rows.len() as u64;
-        Ok(ResultSet { columns: plan.projections.clone(), rows, metrics })
+        let metrics = ExecutionMetrics {
+            rows_scanned: rows_scanned as u64,
+            bytes_scanned,
+            rows_output: rows.len() as u64,
+        };
+        let columns = columns.iter().map(|c| c.to_string()).collect();
+        Ok(ResultSet { columns, rows, metrics })
     }
 
-    /// Executes an already-parsed statement with bound parameters.
-    fn execute_stmt(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<ResultSet, DbError> {
-        match stmt {
+    /// Parses and executes one SQL statement.
+    pub fn execute(&self, sql: &str) -> Result<ResultSet, DbError> {
+        match parse_statement(sql)? {
             Statement::Select(q) => {
                 let tables = self.tables.read();
-                Executor::with_params(&tables, params).select(q)
+                Executor::new(&tables).select(&q)
             }
             Statement::CreateTable { name, columns } => {
-                self.create_table(name, columns.clone())?;
+                self.create_table(&name, columns)?;
                 Ok(ResultSet::empty())
             }
             Statement::DropTable(name) => {
-                self.drop_table(name)?;
+                self.drop_table(&name)?;
                 Ok(ResultSet::empty())
             }
             Statement::Insert { table, columns, rows } => {
                 // Evaluate row literals without any table context.
                 let mut evaluated: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-                for row in rows {
+                for row in &rows {
                     let mut vals = Vec::with_capacity(row.len());
                     for e in row {
-                        vals.push(eval_insert_literal(e, params)?);
+                        vals.push(eval_insert_literal(e)?);
                     }
                     evaluated.push(vals);
                 }
@@ -360,13 +301,13 @@ impl Database {
                 // between the two.
                 // jit-analyze: allow(lock-discipline) — sequential arms of one match, never held together: each arm takes the same table lock once
                 let mut tables = self.tables.write();
-                let keep: Option<Vec<bool>> = match &predicate {
+                let keep: Option<Vec<bool>> = match predicate {
                     None => None,
                     Some(pred) => {
                         let q = crate::ast::Select {
                             distinct: false,
                             projections: vec![crate::ast::Projection::Expr {
-                                expr: pred.clone(),
+                                expr: pred,
                                 alias: Some("matched".to_string()),
                             }],
                             from: crate::ast::TableRef {
@@ -380,7 +321,7 @@ impl Database {
                             order_by: vec![],
                             limit: None,
                         };
-                        let rs = Executor::with_params(&tables, params).select(&q)?;
+                        let rs = Executor::new(&tables).select(&q)?;
                         Some(
                             rs.rows
                                 .iter()
@@ -389,7 +330,7 @@ impl Database {
                         )
                     }
                 };
-                let t = table_mut(&mut tables, table)?;
+                let t = table_mut(&mut tables, &table)?;
                 match keep {
                     None => t.rows.clear(),
                     Some(keep) => {
@@ -473,28 +414,21 @@ fn validate(tables: &HashMap<String, Table>, ops: &[WalOp]) -> Result<(), DbErro
 }
 
 /// Evaluates a context-free expression (INSERT literals may contain
-/// arithmetic such as `-1` or `2 + 3`, and `?` parameters when prepared).
-fn eval_insert_literal(
-    expr: &crate::ast::Expr,
-    params: &[Value],
-) -> Result<Value, DbError> {
+/// arithmetic such as `-1` or `2 + 3`).
+fn eval_insert_literal(expr: &crate::ast::Expr) -> Result<Value, DbError> {
     // The executor's eval is private; emulate the tiny literal subset here.
     use crate::ast::{BinOp, Expr};
     Ok(match expr {
         Expr::Literal(v) => v.clone(),
-        Expr::Param(i) => params
-            .get(*i)
-            .cloned()
-            .ok_or(DbError::ParamMismatch { expected: *i + 1, found: params.len() })?,
-        Expr::Neg(e) => match eval_insert_literal(e, params)? {
+        Expr::Neg(e) => match eval_insert_literal(e)? {
             Value::Int(i) => Value::Int(-i),
             Value::Float(f) => Value::Float(-f),
             Value::Null => Value::Null,
             other => return Err(DbError::Eval(format!("cannot negate {other}"))),
         },
         Expr::Binary { lhs, op, rhs } => {
-            let a = eval_insert_literal(lhs, params)?;
-            let b = eval_insert_literal(rhs, params)?;
+            let a = eval_insert_literal(lhs)?;
+            let b = eval_insert_literal(rhs)?;
             let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {
                 return Err(DbError::Eval(
                     "INSERT expressions must be numeric literals".to_string(),
@@ -552,6 +486,9 @@ mod tests {
         assert_eq!(rs.columns, vec!["a", "c"]);
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.rows[0][1].to_string(), "two");
+        // The executor meters its scan.
+        assert_eq!(rs.metrics.rows_output, rs.len() as u64);
+        assert!(rs.metrics.rows_scanned > 0);
     }
 
     #[test]
@@ -645,21 +582,26 @@ mod tests {
     #[test]
     fn hash_index_is_result_identical_and_skips_rows() {
         let db = sample_db();
-        let stmt = db.prepare("SELECT a, b FROM t WHERE c = ? ORDER BY a").unwrap();
-        let probe = [Value::from("two")];
-        let scanned = db.execute_prepared(&stmt, &probe).unwrap();
+        // Rows sorted by `a`, the order a SQL `ORDER BY a` would give.
+        let select = |key: &Value| {
+            let mut rs = db.select("t", &["a", "b"], Some(("c", key))).unwrap();
+            rs.rows.sort_by(|x, y| x[0].total_cmp(&y[0]));
+            rs
+        };
+        let probe = Value::from("two");
+        let scanned = select(&probe);
         assert_eq!(scanned.metrics.rows_scanned, 3);
 
         db.create_index("t", "c").unwrap();
         db.create_index("t", "c").unwrap(); // idempotent
-        let indexed = db.execute_prepared(&stmt, &probe).unwrap();
+        let indexed = select(&probe);
         assert_eq!(indexed.rows, scanned.rows);
         assert_eq!(indexed.columns, scanned.columns);
         assert_eq!(indexed.metrics.rows_scanned, 1);
 
         // Maintained across inserts (duplicate keys, ascending order) …
         db.execute("INSERT INTO t VALUES (0, 0.5, 'two'), (9, 9.5, 'nine')").unwrap();
-        let rs = db.execute_prepared(&stmt, &probe).unwrap();
+        let rs = select(&probe);
         assert_eq!(rs.metrics.rows_scanned, 2);
         let got: Vec<_> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
         assert_eq!(got, vec![0, 2]);
@@ -670,16 +612,16 @@ mod tests {
             value: Value::from("two"),
         }])
         .unwrap();
-        assert!(db.execute_prepared(&stmt, &probe).unwrap().rows.is_empty());
+        assert!(select(&probe).rows.is_empty());
         db.execute("DELETE FROM t WHERE a = 1").unwrap();
-        let rs = db.execute_prepared(&stmt, &[Value::from("nine")]).unwrap();
+        let rs = select(&Value::from("nine"));
         assert_eq!(rs.rows[0][0].as_i64(), Some(9));
 
         // NULL and cross-type probes are answered (empty) by the index:
         // SQL equality can never match them against stored text.
         db.execute("INSERT INTO t (a) VALUES (5)").unwrap();
         for probe in [Value::Null, Value::Int(9)] {
-            let rs = db.execute_prepared(&stmt, &[probe]).unwrap();
+            let rs = select(&probe);
             assert!(rs.rows.is_empty());
             assert_eq!(rs.metrics.rows_scanned, 0);
         }
@@ -837,6 +779,24 @@ mod tests {
                         .collect();
                     let probed = t.index_probe(ci, &key).unwrap();
                     assert_eq!(probed, scanned, "round {round}, column {ci}, {key:?}");
+                }
+            }
+            let rows = t.rows.clone();
+            drop(tables);
+
+            // `select` returns a filtered full scan's rows in position
+            // order, through the index on `k` and by scanning on `n`.
+            let probes = keys.iter().map(|k| Value::from(*k));
+            for key in probes.chain([Value::Null, Value::Int(1)]) {
+                for (ci, column) in [(0, "k"), (2, "n")] {
+                    let rs = db.select("t", &["k", "tag", "n"], Some((column, &key)));
+                    let rs = rs.unwrap();
+                    let scanned: Vec<Vec<Value>> =
+                        rows.iter().filter(|r| r[ci].sql_eq(&key)).cloned().collect();
+                    assert_eq!(rs.rows, scanned, "round {round}, {column}, {key:?}");
+                    let touched = if ci == 0 { scanned.len() } else { rows.len() };
+                    assert_eq!(rs.metrics.rows_scanned, touched as u64);
+                    assert_eq!(rs.metrics.rows_output, scanned.len() as u64);
                 }
             }
         }

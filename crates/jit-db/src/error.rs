@@ -61,14 +61,6 @@ pub enum DbError {
     /// committed record this build cannot replay, or poisoned after a
     /// failed rollback).
     Wal(String),
-    /// A prepared statement was executed with the wrong number of
-    /// parameters, or an unbound `?` was evaluated.
-    ParamMismatch {
-        /// Parameters the statement requires.
-        expected: usize,
-        /// Parameters supplied.
-        found: usize,
-    },
 }
 
 impl fmt::Display for DbError {
@@ -95,9 +87,6 @@ impl fmt::Display for DbError {
             }
             DbError::Io { op, detail } => write!(f, "i/o error during {op}: {detail}"),
             DbError::Wal(msg) => write!(f, "write-ahead log error: {msg}"),
-            DbError::ParamMismatch { expected, found } => {
-                write!(f, "statement takes {expected} parameter(s), {found} supplied")
-            }
         }
     }
 }

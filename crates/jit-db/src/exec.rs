@@ -110,8 +110,6 @@ struct GroupCtx<'a> {
 /// The executor; borrows the catalog's table map.
 pub struct Executor<'a> {
     tables: &'a HashMap<String, Table>,
-    /// Bound values for `?` parameters (empty for unprepared execution).
-    params: &'a [Value],
     /// Base-table rows materialized so far (subqueries accumulate here).
     rows_scanned: Cell<u64>,
     /// Encoded bytes of those rows, in the binary codec's sizing.
@@ -121,20 +119,7 @@ pub struct Executor<'a> {
 impl<'a> Executor<'a> {
     /// Creates an executor over a table map.
     pub fn new(tables: &'a HashMap<String, Table>) -> Self {
-        Executor::with_params(tables, &[])
-    }
-
-    /// Creates an executor with bound statement parameters.
-    pub fn with_params(
-        tables: &'a HashMap<String, Table>,
-        params: &'a [Value],
-    ) -> Self {
-        Executor {
-            tables,
-            params,
-            rows_scanned: Cell::new(0),
-            bytes_scanned: Cell::new(0),
-        }
+        Executor { tables, rows_scanned: Cell::new(0), bytes_scanned: Cell::new(0) }
     }
 
     /// Meters rows materialized from a base table.
@@ -196,10 +181,12 @@ impl<'a> Executor<'a> {
                     index.entry(rrow[right_idx].group_key()).or_default().push(ri);
                 }
                 for lrow in &rows {
-                    if lrow[left_idx].is_null() {
+                    // NULL and NaN equal nothing under SQL `=`.
+                    let key = &lrow[left_idx];
+                    if key.is_null() || key.as_f64().is_some_and(f64::is_nan) {
                         continue;
                     }
-                    if let Some(matches) = index.get(&lrow[left_idx].group_key()) {
+                    if let Some(matches) = index.get(&key.group_key()) {
                         for &ri in matches {
                             let mut combined = lrow.clone();
                             combined.extend(right.rows[ri].iter().cloned());
@@ -444,12 +431,6 @@ impl<'a> Executor<'a> {
     ) -> Result<Value, DbError> {
         match expr {
             Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(i) => {
-                self.params.get(*i).cloned().ok_or(DbError::ParamMismatch {
-                    expected: *i + 1,
-                    found: self.params.len(),
-                })
-            }
             Expr::Column { qualifier, name } => {
                 self.resolve_column(qualifier.as_deref(), name, frames)
             }

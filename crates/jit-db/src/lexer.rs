@@ -59,8 +59,6 @@ pub enum Token {
     Ge,
     /// `;`
     Semicolon,
-    /// `?` — positional statement parameter.
-    Question,
 }
 
 /// Tokenizes SQL text.
@@ -106,7 +104,6 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, DbError> {
             '/' => push!(Token::Slash, 1),
             '%' => push!(Token::Percent, 1),
             ';' => push!(Token::Semicolon, 1),
-            '?' => push!(Token::Question, 1),
             '=' => push!(Token::Eq, 1),
             '!' => {
                 if bytes.get(pos + 1) == Some(&b'=') {
@@ -317,20 +314,6 @@ mod tests {
             vec![Token::Float(9.223372036854776e18)]
         );
         assert_eq!(toks("9223372036854775807"), vec![Token::Int(i64::MAX)]);
-    }
-
-    #[test]
-    fn question_marks_are_parameters() {
-        assert_eq!(
-            toks("x = ? , ?"),
-            vec![
-                Token::Ident("x".into()),
-                Token::Eq,
-                Token::Question,
-                Token::Comma,
-                Token::Question
-            ]
-        );
     }
 
     #[test]

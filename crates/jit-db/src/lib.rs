@@ -30,15 +30,15 @@
 //! `parking_lot::RwLock` so the per-time-point candidate generators can
 //! insert in parallel while readers run queries.
 //!
-//! ## Prepared statements
+//! ## Typed store API
 //!
-//! [`Database::prepare`] compiles SQL once into a [`Prepared`]
-//! statement with positional `?` parameters; execution binds typed
-//! [`Value`]s directly — no lexer, parser, or `sql_literal` rendering
-//! on the hot path, and float parameters stay bit-exact (NaN payloads,
-//! `-0.0`). Store-shaped SELECTs additionally compile to a direct scan
-//! plan. Every execution reports [`ExecutionMetrics`] (rows/bytes
-//! scanned, rows output).
+//! Programs that keep rows here, rather than query them, skip SQL text:
+//! [`Database::apply`] writes a batch of typed [`WalOp`]s, and
+//! [`Database::select`] reads columns with an optional equality filter,
+//! probing a hash index declared with [`Database::create_index`]. Values
+//! cross both as typed [`Value`]s, so floats stay bit-exact (NaN
+//! payloads, `-0.0`). Every [`ResultSet`], from `select` or from SQL
+//! text, reports [`ExecutionMetrics`] (rows/bytes scanned, rows output).
 //!
 //! ## Durability
 //!
@@ -68,7 +68,6 @@ pub mod error;
 pub mod exec;
 pub mod lexer;
 pub mod parser;
-pub mod prepare;
 pub mod result;
 pub mod table;
 pub mod value;
@@ -76,7 +75,6 @@ pub mod wal;
 
 pub use catalog::Database;
 pub use error::DbError;
-pub use prepare::Prepared;
 pub use result::{ExecutionMetrics, ResultSet};
 pub use value::{ColumnType, Value};
 pub use wal::{

@@ -7,14 +7,8 @@ use crate::value::{ColumnType, Value};
 
 /// Parses one SQL statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement, DbError> {
-    parse_statement_with_params(sql).map(|(stmt, _)| stmt)
-}
-
-/// Parses one SQL statement and reports how many positional `?`
-/// parameters it takes (numbered 0.. in source order).
-pub fn parse_statement_with_params(sql: &str) -> Result<(Statement, usize), DbError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, src_len: sql.len(), params: 0 };
+    let mut p = Parser { tokens, pos: 0, src_len: sql.len() };
     let stmt = p.statement()?;
     if p.peek_is(&Token::Semicolon) {
         p.pos += 1;
@@ -22,7 +16,7 @@ pub fn parse_statement_with_params(sql: &str) -> Result<(Statement, usize), DbEr
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing input after statement"));
     }
-    Ok((stmt, p.params))
+    Ok(stmt)
 }
 
 /// Keywords that terminate a bare (AS-less) alias position.
@@ -35,8 +29,6 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     src_len: usize,
-    /// Count of `?` parameters seen so far (assigns positions).
-    params: usize,
 }
 
 impl Parser {
@@ -526,12 +518,6 @@ impl Parser {
                 self.pos += 1;
                 Ok(Expr::Literal(Value::Text(s)))
             }
-            Some(Token::Question) => {
-                self.pos += 1;
-                let idx = self.params;
-                self.params += 1;
-                Ok(Expr::Param(idx))
-            }
             Some(Token::LParen) => {
                 self.pos += 1;
                 if self.peek_kw("select") {
@@ -817,24 +803,6 @@ mod tests {
         ] {
             assert!(parse_statement(bad).is_err(), "should reject {bad:?}");
         }
-    }
-
-    #[test]
-    fn parameters_numbered_in_source_order() {
-        let (stmt, n) = parse_statement_with_params(
-            "SELECT a FROM t WHERE b = ? AND c BETWEEN ? AND ?",
-        )
-        .unwrap();
-        assert_eq!(n, 3);
-        let Statement::Select(s) = stmt else { panic!() };
-        let Some(Expr::Binary { lhs, .. }) = s.where_clause else { panic!() };
-        let Expr::Binary { rhs, .. } = *lhs else { panic!() };
-        assert_eq!(*rhs, Expr::Param(0));
-        let (_, n) =
-            parse_statement_with_params("INSERT INTO t VALUES (?, ?)").unwrap();
-        assert_eq!(n, 2);
-        let (_, n) = parse_statement_with_params("SELECT 1 FROM t").unwrap();
-        assert_eq!(n, 0);
     }
 
     #[test]

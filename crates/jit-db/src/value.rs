@@ -182,12 +182,15 @@ impl Value {
         }
     }
 
-    /// Key usable in hash-based DISTINCT/GROUP BY: canonicalizes numerics.
+    /// Key usable in hash-based DISTINCT/GROUP BY and hash joins:
+    /// canonicalizes numerics, so values SQL `=` calls equal share a key
+    /// (`-0.0` takes `0.0`'s). Every NaN shares one key too, which
+    /// groups NaNs together; a hash join must skip NaN keys itself.
     pub fn group_key(&self) -> String {
         match self {
             Value::Null => "\u{0}null".to_string(),
             Value::Int(i) => format!("n{}", *i as f64),
-            Value::Float(f) => format!("n{f}"),
+            Value::Float(f) => format!("n{}", if *f == 0.0 { 0.0 } else { *f }),
             Value::Text(s) => format!("t{s}"),
             Value::Bool(b) => format!("b{b}"),
             Value::Blob(_) => format!("x{self}"),
@@ -312,6 +315,8 @@ mod tests {
     #[test]
     fn group_keys_canonicalize_numerics() {
         assert_eq!(Value::Int(2).group_key(), Value::Float(2.0).group_key());
+        assert_eq!(Value::Float(-0.0).group_key(), Value::Int(0).group_key());
+        assert_eq!(Value::Float(-0.0).group_key(), Value::Float(0.0).group_key());
         assert_ne!(Value::Int(2).group_key(), Value::Text("2".into()).group_key());
         assert_ne!(Value::Null.group_key(), Value::Text("null".into()).group_key());
     }

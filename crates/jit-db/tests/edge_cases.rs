@@ -215,6 +215,40 @@ fn join_on_text_keys() {
     assert_eq!(rs.rows[1][1].to_string(), "second");
 }
 
+/// SQL `=` says `0.0 = -0.0` and `NaN <> NaN`. The hash join (a bare
+/// equi-join) must return the nested-loop join's rows, and DISTINCT and
+/// GROUP BY must fold `±0` into one row.
+#[test]
+fn joins_distinct_and_group_by_follow_sql_equality_on_signed_zero_and_nan() {
+    let db = Database::new();
+    db.execute("CREATE TABLE a (x REAL)").unwrap();
+    db.execute("CREATE TABLE b (y REAL)").unwrap();
+    db.execute("INSERT INTO a VALUES (0.0), (NAN), (1.5)").unwrap();
+    db.execute("INSERT INTO b VALUES (-0.0), (NAN), (1.5)").unwrap();
+    let bits = |sql: &str| -> Vec<Vec<u64>> {
+        let rs = db.execute(sql).unwrap();
+        rs.rows
+            .iter()
+            .map(|r| r.iter().map(|v| v.as_f64().unwrap().to_bits()).collect())
+            .collect()
+    };
+    let nested = bits("SELECT a.x, b.y FROM a INNER JOIN b ON a.x = b.y AND 1 = 1");
+    let expected = vec![
+        vec![0.0f64.to_bits(), (-0.0f64).to_bits()],
+        vec![1.5f64.to_bits(), 1.5f64.to_bits()],
+    ];
+    assert_eq!(nested, expected);
+    assert_eq!(bits("SELECT a.x, b.y FROM a INNER JOIN b ON a.x = b.y"), expected);
+
+    db.execute("INSERT INTO b VALUES (0.0)").unwrap();
+    let distinct = db.execute("SELECT DISTINCT y FROM b WHERE y = 0").unwrap();
+    assert_eq!(distinct.len(), 1, "{distinct}");
+    let groups =
+        db.execute("SELECT y, COUNT(*) FROM b WHERE y = 0 GROUP BY y").unwrap();
+    assert_eq!(groups.len(), 1, "{groups}");
+    assert_eq!(groups.rows[0][1].as_i64(), Some(2));
+}
+
 #[test]
 fn aggregate_inside_order_by_of_grouped_query() {
     let db = db_with(&[(1, Some(10.0), "a"), (2, Some(1.0), "a"), (3, Some(5.0), "b")]);

@@ -113,23 +113,6 @@ impl RandomForest {
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
     }
-
-    /// Split thresholds along each tree's decision path for `x`, merged and
-    /// deduplicated per feature. This is the "locally relevant" threshold
-    /// set the candidates generator perturbs first.
-    pub fn path_thresholds(&self, x: &[f64]) -> Vec<Vec<f64>> {
-        let mut per_feature = vec![Vec::new(); self.dim];
-        for tree in &self.trees {
-            for (f, t) in tree.path_thresholds(x) {
-                per_feature[f].push(t);
-            }
-        }
-        for ts in &mut per_feature {
-            ts.sort_by(|a, b| a.partial_cmp(b).expect("finite thresholds"));
-            ts.dedup();
-        }
-        per_feature
-    }
 }
 
 impl Model for RandomForest {
@@ -249,26 +232,6 @@ mod tests {
                 }
             }
             _ => panic!("forest must expose threshold hints"),
-        }
-    }
-
-    #[test]
-    fn path_thresholds_are_relevant_subset() {
-        let mut rng = Rng::seeded(6);
-        let d = ring_data(100, &mut rng);
-        let f = RandomForest::fit(&d, &RandomForestParams::default(), &mut rng);
-        let x = [0.1, 0.2];
-        let path = f.path_thresholds(&x);
-        let ModelHints::Thresholds(all) = f.hints() else {
-            panic!("expected thresholds")
-        };
-        for (feat, ts) in path.iter().enumerate() {
-            for t in ts {
-                assert!(
-                    all[feat].iter().any(|a| (a - t).abs() < 1e-12),
-                    "path threshold missing from global hint set"
-                );
-            }
         }
     }
 

@@ -530,25 +530,6 @@ impl DecisionTree {
             .collect()
     }
 
-    /// The split thresholds encountered along the decision path of `x`.
-    ///
-    /// These are the *locally relevant* thresholds the counterfactual
-    /// heuristic perturbs first.
-    pub fn path_thresholds(&self, x: &[f64]) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        let mut node = &self.nodes[0];
-        while node.feature != LEAF {
-            let f = node.feature as usize;
-            out.push((f, node.threshold));
-            node = if x[f] <= node.threshold {
-                &self.nodes[node.left as usize]
-            } else {
-                &self.nodes[node.right as usize]
-            };
-        }
-        out
-    }
-
     /// [`Model::predict_proba`] without the per-call dimension assert —
     /// the forest checks once and then walks all its trees through here.
     #[inline]
@@ -710,21 +691,6 @@ mod tests {
         let mut rng = Rng::seeded(6);
         let t = DecisionTree::fit(&d, &DecisionTreeParams::default(), &mut rng);
         assert!((t.predict_proba(&[0.0]) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn path_thresholds_subset_of_all() {
-        let d = separable(30);
-        let mut rng = Rng::seeded(7);
-        let t = DecisionTree::fit(&d, &DecisionTreeParams::default(), &mut rng);
-        let all: std::collections::HashSet<(usize, i64)> = t
-            .split_thresholds()
-            .iter()
-            .map(|(f, th)| (*f, (th * 1e6) as i64))
-            .collect();
-        for (f, th) in t.path_thresholds(&[3.0, 0.0]) {
-            assert!(all.contains(&(f, (th * 1e6) as i64)));
-        }
     }
 
     #[test]

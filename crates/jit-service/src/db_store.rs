@@ -14,8 +14,8 @@
 //! byte, but stored bytes outlive the build that wrote them, so a blob
 //! whose version this build does not read is [`StoreError::Corrupt`]
 //! rather than a wrong decode. A blob recorded under a different feature
-//! schema is [`StoreError::SchemaMismatch`]. A load is one prepared
-//! `SELECT … WHERE user_id = ?` and one decode.
+//! schema is [`StoreError::SchemaMismatch`]. A load is one
+//! [`Database::select`] through the `user_id` hash index and one decode.
 //!
 //! A save is one typed batch, `[DeleteEq user_id, InsertRows row]`, and
 //! a remove the batch's first op alone. On both durability tiers the
@@ -44,7 +44,7 @@ use crate::wire::{self, WireError};
 use jit_core::SessionSnapshot;
 use jit_data::FeatureSchema;
 use jit_db::codec::Decoder;
-use jit_db::{ColumnType, Database, DurableDatabase, Prepared, Value, WalOp};
+use jit_db::{ColumnType, Database, DurableDatabase, Value, WalOp};
 use jit_math::digest::Digest;
 use std::fmt;
 use std::sync::Arc;
@@ -67,10 +67,6 @@ pub struct DbSnapshotStore {
     wal: Option<Arc<DurableDatabase>>,
     schema: FeatureSchema,
     schema_digest: Digest,
-    /// `SELECT snapshot … WHERE user_id = ?`, compiled once at open.
-    load: Prepared,
-    /// `SELECT user_id … ORDER BY user_id`, compiled once at open.
-    user_ids: Prepared,
 }
 
 impl DbSnapshotStore {
@@ -129,9 +125,6 @@ impl DbSnapshotStore {
         // declared on every open, including reopens over recovered WALs.
         db.create_index(TABLE, "user_id")?;
         Ok(DbSnapshotStore {
-            load: db.prepare("SELECT snapshot FROM jit_snapshots WHERE user_id = ?")?,
-            user_ids: db
-                .prepare("SELECT user_id FROM jit_snapshots ORDER BY user_id")?,
             db,
             wal,
             schema: schema.clone(),
@@ -152,7 +145,8 @@ impl DbSnapshotStore {
 
     /// The stored row for `user_id`, if any.
     fn row(&self, user_id: &str) -> Result<Option<Vec<Value>>, StoreError> {
-        let rs = self.db.execute_prepared(&self.load, &[Value::from(user_id)])?;
+        let id = Value::from(user_id);
+        let rs = self.db.select(TABLE, &["snapshot"], Some(("user_id", &id)))?;
         Ok(rs.rows.into_iter().next())
     }
 
@@ -261,8 +255,9 @@ impl SnapshotStore for DbSnapshotStore {
     }
 
     fn user_ids(&self) -> Result<Vec<String>, StoreError> {
-        let rs = self.db.execute_prepared(&self.user_ids, &[])?;
-        rs.rows
+        let rs = self.db.select(TABLE, &["user_id"], None)?;
+        let mut ids = rs
+            .rows
             .into_iter()
             .map(|row| match row.as_slice() {
                 [Value::Text(id)] => Ok(id.clone()),
@@ -271,7 +266,11 @@ impl SnapshotStore for DbSnapshotStore {
                     detail: "non-text user id".into(),
                 }),
             })
-            .collect()
+            .collect::<Result<Vec<_>, _>>()?;
+        // The order SQL `ORDER BY user_id` gives: on text,
+        // `Value::total_cmp` is `String`'s order.
+        ids.sort_unstable();
+        Ok(ids)
     }
 }
 

@@ -327,9 +327,8 @@ fn db_store_rejects_snapshots_from_a_different_schema() {
 
 /// The stored snapshot blob for `id`, read through the engine.
 fn stored_blob(db: &jit_db::Database, id: &str) -> Vec<u8> {
-    let load =
-        db.prepare("SELECT snapshot FROM jit_snapshots WHERE user_id = ?").unwrap();
-    let rs = db.execute_prepared(&load, &[jit_db::Value::from(id)]).unwrap();
+    let id = jit_db::Value::from(id);
+    let rs = db.select("jit_snapshots", &["snapshot"], Some(("user_id", &id))).unwrap();
     let [jit_db::Value::Blob(blob)] = rs.rows[0].as_slice() else {
         panic!("one blob column, got {:?}", rs.rows[0]);
     };
