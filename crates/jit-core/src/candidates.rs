@@ -55,6 +55,16 @@
 //! changed are dropped and re-verified by recomputation, so warm
 //! output is **bit-identical** to a cold search at every time point.
 //!
+//! A memo miss is scored straight from the cell vector the engine
+//! already holds, when the hints carry the model compiled against their
+//! thresholds ([`jit_ml::CompiledForest`]): a split `x[f] <= τ` with `τ`
+//! at rank `r` of feature `f`'s sorted list is exactly `cell[f] <= r`
+//! for every non-NaN value, and the compiled forest sums its leaves in
+//! the order and with the division `predict_proba` uses, so the score
+//! keeps its bits. The search only scores finite profiles (a non-finite
+//! origin ends it before any model call, and every move is finite).
+//! Hints without a compiled form fall back to `predict_proba`.
+//!
 //! ## Cross-user sharing ([`SharedCellCache`])
 //!
 //! The same argument extends across *users*: a cached confidence is a
@@ -89,7 +99,7 @@ use jit_data::{FeatureSchema, Mutability};
 use jit_math::digest::{splitmix64, Digest};
 use jit_math::distance::{l0_gap, l2_diff};
 use jit_math::rng::Rng;
-use jit_ml::{Model, ModelHints};
+use jit_ml::{CompiledForest, Model, ModelHints};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -248,6 +258,10 @@ impl TrialCache {
 /// smuggle in a wrong confidence — reuse is provable, and cached search
 /// output stays bit-identical to a cache-free search.
 ///
+/// A miss is evaluated from the cell vector itself when the hints carry
+/// a compiled forest (see the module docs for why that is exact), and
+/// through `predict_proba` on the profile otherwise.
+///
 /// The beam search converges onto decision boundaries and re-probes the
 /// cells around them from many states, features and bisection passes;
 /// one shared memo across the whole time point (and, when the model is
@@ -277,6 +291,9 @@ struct CellConfidenceCache {
     /// shared-hit) since the last publish, staged so a run takes the
     /// shared lock once instead of per miss.
     pending: Vec<(u64, u32)>,
+    /// The current hints' compiled forest, which scores a miss from
+    /// `cells`; `None` scores it through the model.
+    forest: Option<Arc<CompiledForest>>,
 }
 
 /// A cross-user confidence memo shared by many [`TimelineSearch`]
@@ -495,15 +512,20 @@ impl CellConfidenceCache {
     }
 
     /// Resolves a private-memo miss for the cell vector in `self.cells`
-    /// (hash `h`): the bound shared slot's entry when it holds that exact
-    /// vector, else the model's confidence, staged for publishing. The
-    /// private memo keeps the result either way.
+    /// (hash `h`, the cells of `profile`): the bound shared slot's entry
+    /// when it holds that exact vector, else the model's confidence —
+    /// from the compiled forest when there is one, else from
+    /// `predict_proba` — staged for publishing. The private memo keeps
+    /// the result either way.
     fn miss(&mut self, model: &dyn Model, profile: &[f64], h: u64) -> f64 {
         let shared_conf = self
             .shared
             .as_ref()
             .and_then(|shared| lock_cache(shared).get(h, &self.cells));
-        let conf = shared_conf.unwrap_or_else(|| model.predict_proba(profile));
+        let conf = shared_conf.unwrap_or_else(|| match &self.forest {
+            Some(forest) => forest.predict_cells(&self.cells),
+            None => model.predict_proba(profile),
+        });
         let entry = self.map.insert(h, &self.cells, conf);
         if let (Some(_), None, Some(e)) = (&self.shared, shared_conf, entry) {
             self.pending.push((h, e));
@@ -648,6 +670,10 @@ impl TimelineSearch {
             }
         }
         self.model_key = model_key;
+        self.confidence.forest = match hints {
+            ModelHints::Thresholds { forest, .. } => forest.clone(),
+            _ => None,
+        };
         let out = g.search(self, params, hints);
         self.confidence.publish();
         out
@@ -664,13 +690,13 @@ impl<'a> CandidatesGenerator<'a> {
     /// [`CandidatesGenerator::generate`] with the model's move hints
     /// supplied by the caller.
     ///
-    /// Hints depend only on the model — not on the user — so batch
-    /// serving extracts them once per time point and shares them across
-    /// every user in the batch instead of re-walking the ensemble per
+    /// Hints depend only on the model — not on the user — so serving
+    /// builds them once per time point of a trained system and shares
+    /// them across every user instead of re-walking the ensemble per
     /// session. `hints` **must** come from `self.model` (or be equal to
-    /// its output): the search both proposes moves from them and relies
-    /// on them as a proof of piecewise constancy for confidence
-    /// memoization.
+    /// its output): the search proposes moves from them, relies on them
+    /// as a proof of piecewise constancy for confidence memoization, and
+    /// scores memo misses with their compiled forest.
     ///
     /// This is the one-shot entry point (a fresh [`TimelineSearch`] per
     /// call); timeline serving keeps an engine alive across time points
@@ -704,7 +730,7 @@ impl<'a> CandidatesGenerator<'a> {
             return Vec::new();
         }
         let per_feature = match hints {
-            ModelHints::Thresholds(per_feature) => Some(per_feature.as_slice()),
+            ModelHints::Thresholds { per_feature, .. } => Some(per_feature.as_slice()),
             _ => None,
         };
         let mut rng = Rng::seeded(params.seed ^ (self.time_index as u64) << 32);
@@ -1072,7 +1098,7 @@ impl<'a> CandidatesGenerator<'a> {
             |f: usize| self.schema.feature(f).mutability == Mutability::Actionable;
 
         match hints {
-            ModelHints::Thresholds(per_feature) => {
+            ModelHints::Thresholds { per_feature, .. } => {
                 for f in 0..d {
                     if !mutable(f) {
                         continue;

@@ -263,6 +263,12 @@ pub struct JustInTime {
     /// Digest of the user-independent search environment: schema,
     /// scales and candidate-search parameters.
     search_env: Digest,
+    /// Per-time-point move hints — with the compiled forest that scores
+    /// the search's memo misses — built the first time a search at `t`
+    /// needs them and kept for this generation of models, so replay-only
+    /// traffic never builds one. Each slot describes `models[t]`: a
+    /// method that replaces a model replaces its slot with it.
+    hints: Vec<OnceLock<ModelHints>>,
 }
 
 impl JustInTime {
@@ -317,6 +323,7 @@ impl JustInTime {
             w.write_digest(config.candidates.content_digest());
             w.finish()
         };
+        let hints = models.iter().map(|_| OnceLock::new()).collect();
         Ok(JustInTime {
             config,
             schema: schema.clone(),
@@ -328,6 +335,7 @@ impl JustInTime {
             model_digests,
             model_keys,
             search_env,
+            hints,
         })
     }
 
@@ -388,9 +396,12 @@ impl JustInTime {
         next.search_env = self.search_env;
         for t in 0..next.models.len() {
             if pinned.get(t).copied().unwrap_or(false) {
+                // The hints slot travels with its model: built here if
+                // `self` built it, never describing the replaced model.
                 next.models[t] = self.models[t].clone();
                 next.model_digests[t] = self.model_digests[t];
                 next.model_keys[t] = self.model_keys[t];
+                next.hints[t] = self.hints[t].clone();
             }
         }
         Ok(next)
@@ -472,12 +483,14 @@ impl JustInTime {
     }
 
     /// Serves a batch of users — first visits and returning users alike —
-    /// amortizing everything user-independent: the models' move hints are
-    /// extracted once per batch (lazily, so a fully-replayed batch never
-    /// walks the ensembles), the domain constraints were compiled once at
-    /// training time (each user only overlays their preferences), and
-    /// every session database is cloned from the schema-initialized
-    /// template instead of re-running DDL.
+    /// amortizing everything user-independent: each time point's move
+    /// hints and compiled forest are built once per trained system, the
+    /// first time a search at that `t` needs them (so replay-only traffic
+    /// never walks the ensembles) and reused by every later call, the
+    /// domain constraints were compiled once at training time (each user
+    /// only overlays their preferences), and every session database is
+    /// cloned from the schema-initialized template instead of re-running
+    /// DDL.
     ///
     /// A job with a [`Job::prior`] snapshot is re-served against the
     /// current (possibly drifted) models: per time point, the stored
@@ -514,12 +527,9 @@ impl JustInTime {
         jobs: &[Job],
         cache: Option<&Arc<SharedCellCache>>,
     ) -> Result<Vec<UserSession<'_>>, BatchError> {
-        let hints = HintsCache::new();
         let runtime = Runtime::new(self.config.threads);
         runtime
-            .parallel_map(jobs.len(), |u| {
-                self.serve_one(&jobs[u], &hints, &runtime, cache)
-            })
+            .parallel_map(jobs.len(), |u| self.serve_one(&jobs[u], &runtime, cache))
             .into_iter()
             .enumerate()
             .map(|(user, r)| r.map_err(|error| BatchError { user, error }))
@@ -530,7 +540,6 @@ impl JustInTime {
     fn serve_one(
         &self,
         job: &Job,
-        hints: &HintsCache,
         runtime: &Runtime,
         cache: Option<&Arc<SharedCellCache>>,
     ) -> Result<UserSession<'_>, SessionError> {
@@ -547,14 +556,8 @@ impl JustInTime {
             _ => None,
         };
 
-        let candidates = self.generate_candidates(
-            &temporal_inputs,
-            &bounds,
-            hints,
-            runtime,
-            replay,
-            cache,
-        );
+        let candidates =
+            self.generate_candidates(&temporal_inputs, &bounds, runtime, replay, cache);
 
         // Populate the user's relational database from the DDL template.
         let db = self.db_template.clone();
@@ -694,7 +697,6 @@ impl JustInTime {
         &self,
         temporal_inputs: &[Vec<f64>],
         bounds: &[BoundConstraint],
-        hints: &HintsCache,
         runtime: &Runtime,
         replay: Option<(&SessionSnapshot, &[TimePointServe])>,
         cache: Option<&Arc<SharedCellCache>>,
@@ -723,7 +725,7 @@ impl JustInTime {
             engine.run(
                 &generator,
                 &self.config.candidates,
-                &hints.get(self)[t],
+                self.hints_at(t),
                 self.model_keys[t],
             )
         };
@@ -743,24 +745,12 @@ impl JustInTime {
             runtime.parallel_map_with(self.config.horizon + 1, mk_engine, run_one);
         results.into_iter().flatten().collect()
     }
-}
 
-/// Lazily extracted per-time-point move hints, shared across a batch.
-///
-/// Extraction walks every ensemble once; batches that never reach a
-/// search — fully-replayed returning cohorts — skip it entirely.
-struct HintsCache {
-    hints: OnceLock<Vec<ModelHints>>,
-}
-
-impl HintsCache {
-    fn new() -> Self {
-        HintsCache { hints: OnceLock::new() }
-    }
-
-    fn get(&self, system: &JustInTime) -> &[ModelHints] {
-        self.hints
-            .get_or_init(|| system.models.iter().map(|m| m.model.hints()).collect())
+    /// Time point `t`'s move hints, built on first use and kept for the
+    /// generation. Only a search calls this, so a worker builds just the
+    /// time points it searches.
+    fn hints_at(&self, t: usize) -> &ModelHints {
+        self.hints[t].get_or_init(|| self.models[t].model.hints())
     }
 }
 
@@ -1051,6 +1041,7 @@ impl<'a> UserSession<'a> {
 mod tests {
     use super::*;
     use jit_data::{LendingClubGenerator, LendingClubParams};
+    use jit_ml::CompiledForest;
 
     fn lending_slices(per_year: usize) -> (FeatureSchema, Vec<Dataset>) {
         let gen = LendingClubGenerator::new(LendingClubParams {
@@ -1485,6 +1476,85 @@ mod tests {
         let session = serve_alone(&system, request).unwrap();
         assert_eq!(session.temporal_inputs()[1][3], 1_000.0);
         assert_eq!(session.temporal_inputs()[2][3], 0.0);
+    }
+
+    /// Which time points have a built hints slot.
+    fn built_slots(system: &JustInTime) -> Vec<bool> {
+        system.hints.iter().map(|slot| slot.get().is_some()).collect()
+    }
+
+    #[test]
+    fn replay_only_batches_build_no_hints() {
+        let (schema, slices) = lending_slices(250);
+        let system = JustInTime::train(small_config(2), &schema, &slices).unwrap();
+        let prior = serve_alone(&system, john()).unwrap().snapshot();
+        // An identical retrain is a fresh generation whose fingerprints
+        // all match, so the returning user replays every time point.
+        let fresh = system.retrain(&slices).unwrap();
+        assert_eq!(built_slots(&fresh), vec![false; 3]);
+        let warm = serve_alone(&fresh, ReturningUser::unchanged(prior)).unwrap();
+        assert_eq!(warm.reserve_report().unwrap(), &[TimePointServe::Replayed; 3][..]);
+        assert_eq!(built_slots(&fresh), vec![false; 3], "replay must build nothing");
+    }
+
+    #[test]
+    fn cold_serves_share_one_built_slot_per_time_point() {
+        let system = trained(2);
+        assert_eq!(built_slots(&system), vec![false; 3]);
+        serve_alone(&system, john()).unwrap();
+        assert_eq!(built_slots(&system), vec![true; 3]);
+        let addresses =
+            |system: &JustInTime| -> Vec<(*const f64, *const CompiledForest)> {
+                system
+                    .hints
+                    .iter()
+                    .map(|slot| match slot.get() {
+                        Some(ModelHints::Thresholds {
+                            per_feature,
+                            forest: Some(forest),
+                        }) => (per_feature[0].as_ptr(), Arc::as_ptr(forest)),
+                        other => {
+                            panic!("every t of a forest system compiles: {other:?}")
+                        }
+                    })
+                    .collect()
+            };
+        let first = addresses(&system);
+        serve_alone(
+            &system,
+            UserRequest::new(vec![40.0, 1.0, 30_000.0, 3_000.0, 10.0, 30_000.0]),
+        )
+        .unwrap();
+        assert_eq!(addresses(&system), first, "a second serve must reuse the slots");
+    }
+
+    #[test]
+    fn pinned_retrain_never_keeps_a_stale_slot() {
+        let (schema, slices) = lending_slices(250);
+        let before = JustInTime::train(small_config(2), &schema, &slices[..4]).unwrap();
+        serve_alone(&before, john()).unwrap();
+        assert_eq!(built_slots(&before), vec![true; 3]);
+        let pinned = [true, false, true];
+        let after = before.retrain_pinned(&slices, &pinned).unwrap();
+        assert!(after.drifted_time_points(&before)[1], "t = 1 must have drifted");
+        // Pinned slots arrive built with their models; the drifted one
+        // waits for its first search.
+        assert_eq!(built_slots(&after), pinned.to_vec());
+        let check = |system: &JustInTime| {
+            for (t, slot) in system.hints.iter().enumerate() {
+                if let Some(hints) = slot.get() {
+                    assert_eq!(
+                        hints,
+                        &system.models[t].model.hints(),
+                        "stale slot at t = {t}"
+                    );
+                }
+            }
+        };
+        check(&after);
+        serve_alone(&after, john()).unwrap();
+        assert_eq!(built_slots(&after), vec![true; 3]);
+        check(&after);
     }
 
     #[test]

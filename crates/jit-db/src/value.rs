@@ -102,14 +102,22 @@ impl Value {
     }
 
     /// SQL comparison; `None` when either side is NULL or types are
-    /// incomparable. Int and Float compare numerically; Bool compares as
-    /// false < true; Blobs compare bytewise.
+    /// incomparable. Int and Float compare numerically and exactly: two
+    /// Ints as `i64`, and an Int against a Float by their true values, so
+    /// a Float equals an Int only when it is integral and equal to it as
+    /// an integer (distinct Ints above 2^53 stay distinct). Bool compares
+    /// as false < true; Blobs compare bytewise.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Blob(a), Value::Blob(b)) => Some(a.cmp(b)),
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Int(i), Value::Float(f)) => cmp_int_float(*i, *f),
+            (Value::Float(f), Value::Int(i)) => {
+                cmp_int_float(*i, *f).map(Ordering::reverse)
+            }
             (a, b) => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
                 x.partial_cmp(&y)
@@ -184,18 +192,63 @@ impl Value {
 
     /// Key usable in hash-based DISTINCT/GROUP BY and hash joins:
     /// canonicalizes numerics, so values SQL `=` calls equal share a key
-    /// (`-0.0` takes `0.0`'s). Every NaN shares one key too, which
-    /// groups NaNs together; a hash join must skip NaN keys itself.
+    /// (`-0.0` takes `0.0`'s, and an Int takes the key of the Float it
+    /// converts to exactly). An Int no Float can equal — one whose
+    /// conversion to `f64` rounds — keys as an integer instead. Every NaN
+    /// shares one key too, which groups NaNs together; a hash join must
+    /// skip NaN keys itself.
     pub fn group_key(&self) -> String {
         match self {
             Value::Null => "\u{0}null".to_string(),
-            Value::Int(i) => format!("n{}", *i as f64),
+            Value::Int(i) => match exact_f64(*i) {
+                Some(f) => format!("n{f}"),
+                None => format!("i{i}"),
+            },
             Value::Float(f) => format!("n{}", if *f == 0.0 { 0.0 } else { *f }),
             Value::Text(s) => format!("t{s}"),
             Value::Bool(b) => format!("b{b}"),
             Value::Blob(_) => format!("x{self}"),
         }
     }
+}
+
+/// 2^63 as an `f64`: the first value above every `i64`. `-2^63` is
+/// `i64::MIN` itself.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `i` as an `f64` when the conversion is exact, else `None`. The range
+/// check comes first: `i64::MAX as f64` rounds up to 2^63, and casting
+/// that back saturates to `i64::MAX`, so a round trip alone would call
+/// it exact.
+fn exact_f64(i: i64) -> Option<f64> {
+    let f = i as f64;
+    (f < TWO_POW_63 && f as i64 == i).then_some(f)
+}
+
+/// Exact order of the Int `i` against the Float `f` (`None` for NaN).
+fn cmp_int_float(i: i64, f: f64) -> Option<Ordering> {
+    if f.is_nan() {
+        return None;
+    }
+    if f >= TWO_POW_63 {
+        return Some(Ordering::Less);
+    }
+    if f < -TWO_POW_63 {
+        return Some(Ordering::Greater);
+    }
+    // `f` is finite and in `i64` range here, so its integral part casts
+    // exactly; equal integral parts leave the fraction to decide.
+    let whole = f.trunc();
+    Some(i.cmp(&(whole as i64)).then_with(|| {
+        let fraction = f - whole;
+        if fraction > 0.0 {
+            Ordering::Less
+        } else if fraction < 0.0 {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    }))
 }
 
 impl fmt::Display for Value {
@@ -319,6 +372,55 @@ mod tests {
         assert_eq!(Value::Float(-0.0).group_key(), Value::Float(0.0).group_key());
         assert_ne!(Value::Int(2).group_key(), Value::Text("2".into()).group_key());
         assert_ne!(Value::Null.group_key(), Value::Text("null".into()).group_key());
+    }
+
+    #[test]
+    fn ints_above_two_pow_53_compare_and_key_exactly() {
+        let two53: i64 = 1 << 53;
+        let (below, at, above) =
+            (Value::Int(two53 - 1), Value::Int(two53), Value::Int(two53 + 1));
+        assert_eq!(above.compare(&at), Some(Ordering::Greater));
+        assert_eq!(at.compare(&below), Some(Ordering::Greater));
+        assert!(!above.sql_eq(&at));
+        assert_ne!(above.group_key(), at.group_key());
+        // 2^53 + 1 rounds to 2^53 as a float, yet the two are not equal.
+        let float_at = Value::Float(two53 as f64);
+        assert!(at.sql_eq(&float_at));
+        assert_eq!(at.group_key(), float_at.group_key());
+        assert_eq!(above.compare(&float_at), Some(Ordering::Greater));
+        assert_eq!(float_at.compare(&above), Some(Ordering::Less));
+        assert_ne!(above.group_key(), float_at.group_key());
+        // Below 2^53 every Int is exact and keys like its Float.
+        assert_eq!(below.group_key(), Value::Float((two53 - 1) as f64).group_key());
+        // A fraction decides between equal integral parts.
+        assert_eq!(Value::Int(2).compare(&Value::Float(2.5)), Some(Ordering::Less));
+        assert_eq!(
+            Value::Int(-2).compare(&Value::Float(-2.5)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(Value::Int(0).compare(&Value::Float(-0.0)), Some(Ordering::Equal));
+        assert_eq!(Value::Int(1).compare(&Value::Float(f64::NAN)), None);
+    }
+
+    #[test]
+    fn i64_extremes_against_their_nearest_floats() {
+        // i64::MAX converts to 2^63, one above it: never equal.
+        let max = Value::Int(i64::MAX);
+        let two63 = Value::Float(9_223_372_036_854_775_808.0);
+        assert_eq!(max.compare(&two63), Some(Ordering::Less));
+        assert_eq!(two63.compare(&max), Some(Ordering::Greater));
+        assert_ne!(max.group_key(), two63.group_key());
+        assert_eq!(max.compare(&Value::Float(f64::INFINITY)), Some(Ordering::Less));
+        // i64::MIN is -2^63 exactly: equal, one key.
+        let min = Value::Int(i64::MIN);
+        let neg_two63 = Value::Float(-9_223_372_036_854_775_808.0);
+        assert_eq!(min.compare(&neg_two63), Some(Ordering::Equal));
+        assert_eq!(min.group_key(), neg_two63.group_key());
+        assert_eq!(
+            min.compare(&Value::Float(f64::NEG_INFINITY)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(min.compare(&Value::Float(-1e19)), Some(Ordering::Greater));
     }
 
     #[test]

@@ -361,3 +361,30 @@ fn integer_literals_still_integerize_and_nonfinite_parse_everywhere() {
     let rs = db.execute("SELECT k FROM f WHERE v = -(-inf)").unwrap();
     assert_eq!(rs.len(), 1);
 }
+
+#[test]
+fn integers_above_two_pow_53_stay_distinct() {
+    // 2^53 + 1 and 2^53 round to the same f64; SQL must still tell them
+    // apart in every comparison, sort and grouping path.
+    let db = Database::new();
+    db.execute("CREATE TABLE big (k INTEGER)").unwrap();
+    db.execute("INSERT INTO big VALUES (9007199254740993), (9007199254740992)")
+        .unwrap();
+    let count = |sql: &str| db.execute(sql).unwrap().scalar().unwrap().as_i64();
+    assert_eq!(count("SELECT COUNT(*) FROM big WHERE k = 9007199254740992"), Some(1));
+    assert_eq!(db.execute("SELECT DISTINCT k FROM big").unwrap().len(), 2);
+    assert_eq!(db.execute("SELECT k, COUNT(*) FROM big GROUP BY k").unwrap().len(), 2);
+    let ordered = db.execute("SELECT k FROM big ORDER BY k").unwrap();
+    let keys: Vec<Option<i64>> = ordered.rows.iter().map(|r| r[0].as_i64()).collect();
+    assert_eq!(keys, vec![Some(9_007_199_254_740_992), Some(9_007_199_254_740_993)]);
+    // The hash join pairs each row only with itself.
+    let joined = db
+        .execute(
+            "SELECT a.k, b.k FROM big a INNER JOIN big b ON a.k = b.k ORDER BY a.k",
+        )
+        .unwrap();
+    assert_eq!(joined.len(), 2);
+    for row in &joined.rows {
+        assert_eq!(row[0].as_i64(), row[1].as_i64());
+    }
+}

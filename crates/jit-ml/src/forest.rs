@@ -4,13 +4,18 @@
 //! Bagged CART trees with feature subsampling. The forest's
 //! [`ModelHints::Thresholds`] aggregate every split threshold across all
 //! trees, which is exactly the structure the candidates generator's
-//! tree-heuristic exploits.
+//! tree-heuristic exploits, and carry the forest compiled against those
+//! thresholds ([`CompiledForest`]), which scores a profile's threshold
+//! cells instead of the profile.
 
 use crate::dataset::Dataset;
 use crate::model::{Model, ModelHints};
-use crate::tree::{DatasetPresort, DecisionTree, DecisionTreeParams};
+use crate::tree::{
+    sorted_thresholds, DatasetPresort, DecisionTree, DecisionTreeParams, LEAF,
+};
 use jit_math::rng::Rng;
 use jit_runtime::{fork_streams, Runtime};
+use std::sync::Arc;
 
 /// Hyperparameters for [`RandomForest::fit`].
 #[derive(Clone, Debug)]
@@ -127,17 +132,9 @@ impl Model for RandomForest {
     }
 
     fn hints(&self) -> ModelHints {
-        let mut per_feature = vec![Vec::new(); self.dim];
-        for tree in &self.trees {
-            for (f, t) in tree.split_thresholds() {
-                per_feature[f].push(t);
-            }
-        }
-        for ts in &mut per_feature {
-            ts.sort_by(|a, b| a.partial_cmp(b).expect("finite thresholds"));
-            ts.dedup();
-        }
-        ModelHints::Thresholds(per_feature)
+        let per_feature = sorted_thresholds(self.dim, &self.trees);
+        let forest = CompiledForest::compile(&self.trees, &per_feature).map(Arc::new);
+        ModelHints::Thresholds { per_feature, forest }
     }
 
     fn fingerprint(&self) -> Option<jit_math::Digest> {
@@ -150,6 +147,143 @@ impl Model for RandomForest {
             tree.digest_into(&mut w);
         }
         Some(w.finish())
+    }
+}
+
+/// A random forest compiled to score a profile's **threshold cells**
+/// rather than the profile: the evaluator [`ModelHints::Thresholds`]
+/// carries next to the threshold lists it was compiled against.
+///
+/// *Why it is exact.* Every split tests `x[f] <= τ`. Let `cell[f]` be
+/// the count of `per_feature[f]` entries strictly below `x[f]`, and let
+/// `τ` sit at index `r` of that sorted, deduplicated list. Then the
+/// test equals `cell[f] <= r`: if `x[f] <= τ`, every threshold below
+/// `x[f]` is below `τ` and so has an index `< r`; if `x[f] > τ`, the
+/// entries `0..=r` are all below `x[f]`. This holds for every non-NaN
+/// value, ±0.0 and ±inf included, so [`CompiledForest::predict_cells`]
+/// walks every tree to the leaf `predict_proba` reaches. NaN is outside
+/// the domain: its cell is 0, yet it goes right at every split. Callers
+/// score finite profiles only.
+///
+/// *Layout.* All trees' internal nodes sit back to back in one array of
+/// 8-byte `[u16; 4]` = (feature, rank, left, right) entries; a child is
+/// an index into its tree's own nodes or, with the top bit set, into its
+/// tree's run of one per-forest leaf table. Each tree keeps its node
+/// base, leaf base and root. Scoring sums the leaves in tree order with
+/// the same iterator `sum`, and divides by the same tree count as
+/// [`RandomForest::predict_proba`], so every score keeps its bits.
+///
+/// A forest that does not fit 16-bit fields — a feature index or rank
+/// of 65,535 or more, or a tree with 32,768 or more internal nodes or
+/// leaves — does not compile, and callers keep `predict_proba`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CompiledForest {
+    /// Every tree's internal nodes: (feature, rank, left, right).
+    nodes: Vec<[u16; 4]>,
+    /// Every tree's leaf values.
+    leaves: Vec<f64>,
+    /// Per tree, in the forest's order.
+    trees: Vec<CompiledTree>,
+}
+
+/// Where one tree of a [`CompiledForest`] lives.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct CompiledTree {
+    /// Index of the tree's first internal node.
+    nodes: u32,
+    /// Index of the tree's first leaf.
+    leaves: u32,
+    /// The root, as a child reference (a one-leaf tree's root is a leaf).
+    root: u16,
+}
+
+/// Marks a child reference as a leaf index.
+const LEAF_BIT: u16 = 0x8000;
+
+impl CompiledForest {
+    /// Compiles `trees` against `per_feature`, the lists
+    /// [`sorted_thresholds`] builds from them; `None` when a field does
+    /// not fit 16 bits (never truncated) or a split threshold is missing
+    /// from its list.
+    fn compile(trees: &[DecisionTree], per_feature: &[Vec<f64>]) -> Option<Self> {
+        let mut nodes: Vec<[u16; 4]> = Vec::new();
+        let mut leaves = Vec::new();
+        let mut compiled = Vec::with_capacity(trees.len());
+        let mut refs = Vec::new();
+        for tree in trees {
+            let flat = tree.flat_nodes();
+            // Number internal nodes and leaves apart, in storage order.
+            refs.clear();
+            let (mut n_nodes, mut n_leaves) = (0u16, 0u16);
+            for node in flat {
+                let counter =
+                    if node.feature == LEAF { &mut n_leaves } else { &mut n_nodes };
+                if *counter >= LEAF_BIT {
+                    return None;
+                }
+                refs.push(if node.feature == LEAF {
+                    *counter | LEAF_BIT
+                } else {
+                    *counter
+                });
+                *counter += 1;
+            }
+            compiled.push(CompiledTree {
+                nodes: u32::try_from(nodes.len()).ok()?,
+                leaves: u32::try_from(leaves.len()).ok()?,
+                root: *refs.first()?,
+            });
+            for node in flat {
+                if node.feature == LEAF {
+                    leaves.push(node.threshold);
+                    continue;
+                }
+                let list = per_feature.get(node.feature as usize)?;
+                let rank = list.partition_point(|t| *t < node.threshold);
+                if list.get(rank) != Some(&node.threshold) {
+                    return None;
+                }
+                nodes.push([
+                    u16::try_from(node.feature).ok().filter(|&f| f != u16::MAX)?,
+                    u16::try_from(rank).ok().filter(|&r| r != u16::MAX)?,
+                    refs[node.left as usize],
+                    refs[node.right as usize],
+                ]);
+            }
+        }
+        Some(CompiledForest { nodes, leaves, trees: compiled })
+    }
+
+    /// The forest's score for any finite profile whose threshold cells
+    /// are `cells` — bit-identical to [`RandomForest::predict_proba`] on
+    /// that profile.
+    ///
+    /// # Panics
+    /// Panics when `cells` is shorter than the forest's dimension.
+    pub fn predict_cells(&self, cells: &[u32]) -> f64 {
+        let sum: f64 = self.trees.iter().map(|tree| self.leaf(tree, cells)).sum();
+        sum / self.trees.len() as f64
+    }
+
+    /// The leaf value `tree` reaches for `cells`.
+    #[inline]
+    fn leaf(&self, tree: &CompiledTree, cells: &[u32]) -> f64 {
+        let nodes = &self.nodes[tree.nodes as usize..];
+        let mut at = tree.root;
+        while at & LEAF_BIT == 0 {
+            let [feature, rank, left, right] = nodes[usize::from(at)];
+            at = if cells[usize::from(feature)] <= u32::from(rank) {
+                left
+            } else {
+                right
+            };
+        }
+        self.leaves[tree.leaves as usize + usize::from(at & !LEAF_BIT)]
+    }
+
+    /// Number of compiled trees.
+    pub fn n_trees(&self) -> usize {
+        self.trees.len()
     }
 }
 
@@ -221,7 +355,7 @@ mod tests {
         let total_splits: usize =
             f.trees().iter().map(|t| t.split_thresholds().len()).sum();
         match f.hints() {
-            ModelHints::Thresholds(per_feature) => {
+            ModelHints::Thresholds { per_feature, .. } => {
                 let n: usize = per_feature.iter().map(Vec::len).sum();
                 assert!(n > 0);
                 assert!(n <= total_splits, "dedup can only shrink");
@@ -270,6 +404,48 @@ mod tests {
                     / reference.len() as f64;
             assert_eq!(forest.predict_proba(row), ref_pred);
         }
+    }
+
+    #[test]
+    fn compile_declines_what_16_bits_cannot_hold() {
+        let mut rng = Rng::seeded(12);
+        let d = ring_data(120, &mut rng);
+        let params =
+            RandomForestParams { n_trees: 3, threads: 1, ..Default::default() };
+        let f = RandomForest::fit(&d, &params, &mut rng);
+        let per_feature = sorted_thresholds(f.dim, &f.trees);
+        let compiled = CompiledForest::compile(&f.trees, &per_feature).unwrap();
+        assert_eq!(compiled.n_trees(), 3);
+        // A split threshold missing from its list has no rank.
+        let mut missing = per_feature.clone();
+        missing[0].remove(0);
+        assert_eq!(CompiledForest::compile(&f.trees, &missing), None);
+        // Thresholds padded in below the splits raise their ranks: the top
+        // split's rank fits at 65,534 and is declined at 65,535.
+        let mut crowded = per_feature.clone();
+        let low = crowded[0][0] - 1.0;
+        let pad: Vec<f64> =
+            (0..65_535 - crowded[0].len()).map(|i| low - i as f64).rev().collect();
+        crowded[0].splice(0..0, pad);
+        assert!(CompiledForest::compile(&f.trees, &crowded).is_some());
+        crowded[0].insert(0, low - 70_000.0);
+        assert_eq!(CompiledForest::compile(&f.trees, &crowded), None);
+    }
+
+    #[test]
+    fn single_leaf_trees_compile_to_their_root_leaf() {
+        let mut rng = Rng::seeded(13);
+        let d = ring_data(60, &mut rng);
+        let params =
+            RandomForestParams { n_trees: 5, max_depth: 0, ..Default::default() };
+        let f = RandomForest::fit(&d, &params, &mut rng);
+        let ModelHints::Thresholds { per_feature, forest: Some(forest) } = f.hints()
+        else {
+            panic!("a forest's hints carry its compiled evaluator");
+        };
+        assert!(per_feature.iter().all(Vec::is_empty));
+        let p = forest.predict_cells(&[0, 0]);
+        assert_eq!(p.to_bits(), f.predict_proba(&[0.3, -2.0]).to_bits());
     }
 
     #[test]

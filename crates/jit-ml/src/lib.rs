@@ -36,7 +36,7 @@ pub mod threshold;
 pub mod tree;
 
 pub use dataset::Dataset;
-pub use forest::{RandomForest, RandomForestParams};
+pub use forest::{CompiledForest, RandomForest, RandomForestParams};
 pub use logistic::{LogisticParams, LogisticRegression};
 pub use model::{Model, ModelHints};
 pub use tree::{DatasetPresort, DecisionTree, DecisionTreeParams};

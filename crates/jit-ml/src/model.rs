@@ -5,12 +5,29 @@
 //! model-dependent structure to propose decision-altering moves; models
 //! surface that through [`ModelHints`].
 
+use crate::forest::CompiledForest;
+use std::sync::Arc;
+
 /// Structure a model exposes to guide counterfactual move proposal.
-#[derive(Clone, Debug)]
+///
+/// Hints are a pure function of the fitted model, so a caller that
+/// serves many profiles against one model builds them once and keeps
+/// them as long as the model stands.
+#[derive(Clone, Debug, PartialEq)]
 pub enum ModelHints {
-    /// Tree-family models: per-feature sorted, deduplicated split
-    /// thresholds. A proposal nudges a feature just across one of these.
-    Thresholds(Vec<Vec<f64>>),
+    /// Tree-family models.
+    Thresholds {
+        /// Per feature, the split thresholds sorted ascending and
+        /// deduplicated. A proposal nudges a feature just across one of
+        /// these, and a profile's *cell* in feature `f` is the count of
+        /// `per_feature[f]` entries strictly below its value.
+        per_feature: Vec<Vec<f64>>,
+        /// The model compiled against `per_feature`: it scores a cell
+        /// vector bit-identically to `predict_proba` on any finite
+        /// profile in those cells (see [`CompiledForest`]). `None` when
+        /// the model has no compiled form, or does not fit one.
+        forest: Option<Arc<CompiledForest>>,
+    },
     /// Linear-family models: the weight vector. A proposal steps along the
     /// (sign of the) gradient of the score.
     Linear(Vec<f64>),
@@ -37,7 +54,10 @@ pub trait Model: Send + Sync {
     /// Model-dependent structure for the counterfactual search.
     ///
     /// The default is [`ModelHints::Opaque`]; tree and linear models
-    /// override it.
+    /// override it, and a forest's hints carry its compiled evaluator.
+    /// A wrapper must forward this method, like every other one (as the
+    /// `Box` and `Arc` impls below do): a wrapper that fell back to the
+    /// default would hide the wrapped model's structure from the search.
     fn hints(&self) -> ModelHints {
         ModelHints::Opaque
     }
@@ -159,6 +179,43 @@ mod tests {
         assert_eq!(b.predict_proba(&[1.0, 2.0]), 0.9);
         assert_eq!(b.dim(), 2);
         assert!(b.decide(&[1.0, 2.0], 0.5));
+    }
+
+    #[test]
+    fn blanket_impls_forward_every_method() {
+        use crate::{Dataset, RandomForest, RandomForestParams};
+        use jit_math::rng::Rng;
+        // A wrapper that fell back to a trait default would still
+        // predict identically, but report opaque hints or no fingerprint.
+        let rows: Vec<Vec<f64>> =
+            (0..40).map(|i| vec![f64::from(i % 7), f64::from(i % 5)]).collect();
+        let labels: Vec<bool> = (0..40).map(|i| (i % 7) + (i % 5) > 5).collect();
+        let params =
+            RandomForestParams { n_trees: 4, threads: 1, ..Default::default() };
+        let forest = RandomForest::fit(
+            &Dataset::from_rows(rows, labels),
+            &params,
+            &mut Rng::seeded(3),
+        );
+        let direct = forest.hints();
+        assert!(
+            matches!(&direct, ModelHints::Thresholds { forest: Some(_), .. }),
+            "a forest's hints carry its compiled evaluator"
+        );
+        let arc: std::sync::Arc<dyn Model> = std::sync::Arc::new(forest.clone());
+        let boxed: Box<dyn Model> = Box::new(forest.clone());
+        for wrapped in [&arc as &dyn Model, &boxed as &dyn Model] {
+            assert_eq!(wrapped.dim(), forest.dim());
+            assert_eq!(wrapped.hints(), direct);
+            assert_eq!(wrapped.fingerprint(), forest.fingerprint());
+            assert!(wrapped.fingerprint().is_some());
+            for x in [[0.0, 0.0], [3.5, 1.5], [6.0, 4.0], [-1.0, 9.0]] {
+                assert_eq!(
+                    wrapped.predict_proba(&x).to_bits(),
+                    forest.predict_proba(&x).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -55,15 +55,36 @@ enum Node {
 /// otherwise `threshold` is the split value and `left`/`right` the child
 /// node indices.
 #[derive(Clone, Copy, Debug)]
-struct FlatNode {
-    threshold: f64,
-    feature: u32,
-    left: u32,
-    right: u32,
+pub(crate) struct FlatNode {
+    pub(crate) threshold: f64,
+    pub(crate) feature: u32,
+    pub(crate) left: u32,
+    pub(crate) right: u32,
 }
 
 /// Sentinel in [`FlatNode::feature`] marking a leaf node.
-const LEAF: u32 = u32::MAX;
+pub(crate) const LEAF: u32 = u32::MAX;
+
+/// Per feature, the split thresholds of `trees` sorted ascending and
+/// deduplicated: the one definition of the lists
+/// [`ModelHints::Thresholds`] carries, so a compiled forest ranks its
+/// splits in exactly the lists the search counts cells against.
+pub(crate) fn sorted_thresholds<'a>(
+    dim: usize,
+    trees: impl IntoIterator<Item = &'a DecisionTree>,
+) -> Vec<Vec<f64>> {
+    let mut per_feature = vec![Vec::new(); dim];
+    for tree in trees {
+        for node in tree.nodes.iter().filter(|n| n.feature != LEAF) {
+            per_feature[node.feature as usize].push(node.threshold);
+        }
+    }
+    for ts in &mut per_feature {
+        ts.sort_by(|a, b| a.partial_cmp(b).expect("finite thresholds"));
+        ts.dedup();
+    }
+    per_feature
+}
 
 /// A fitted CART binary classifier.
 ///
@@ -521,6 +542,11 @@ impl DecisionTree {
         }
     }
 
+    /// The flat nodes in storage (pre-)order; the root is node 0.
+    pub(crate) fn flat_nodes(&self) -> &[FlatNode] {
+        &self.nodes
+    }
+
     /// Collects every `(feature, threshold)` split used by the tree.
     pub fn split_thresholds(&self) -> Vec<(usize, f64)> {
         self.nodes
@@ -576,16 +602,13 @@ impl Model for DecisionTree {
         self.predict_proba_unchecked(x)
     }
 
+    /// The tree's thresholds, without a compiled evaluator: a lone tree
+    /// is one walk either way.
     fn hints(&self) -> ModelHints {
-        let mut per_feature = vec![Vec::new(); self.dim];
-        for (f, t) in self.split_thresholds() {
-            per_feature[f].push(t);
+        ModelHints::Thresholds {
+            per_feature: sorted_thresholds(self.dim, [self]),
+            forest: None,
         }
-        for ts in &mut per_feature {
-            ts.sort_by(|a, b| a.partial_cmp(b).expect("finite thresholds"));
-            ts.dedup();
-        }
-        ModelHints::Thresholds(per_feature)
     }
 
     fn fingerprint(&self) -> Option<jit_math::Digest> {
@@ -699,7 +722,7 @@ mod tests {
         let mut rng = Rng::seeded(8);
         let t = DecisionTree::fit(&d, &DecisionTreeParams::default(), &mut rng);
         match t.hints() {
-            ModelHints::Thresholds(per_feature) => {
+            ModelHints::Thresholds { per_feature, .. } => {
                 assert_eq!(per_feature.len(), 2);
                 for ts in &per_feature {
                     for w in ts.windows(2) {
